@@ -32,9 +32,9 @@ Config schema (unknown fields are rejected, naming the offending path):
       "rng_free": true  (informational; anything else is rejected)
     }
 
-Heavy per-epsilon solves run on a small thread pool over immutable
-contexts; comparison, checks, and all file writing happen serially in a
-fixed order afterwards.
+Per-epsilon solves run one after another (each already keeps the BLAS
+threads busy); comparison, checks, and all file writing follow in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -560,13 +559,10 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
     K = _auto_count(cfg, spectrum)
     eps_order = sorted(cfg.epsilons, reverse=True)
 
-    with ThreadPoolExecutor(max_workers=min(3, len(eps_order))) as pool:
-        sols = list(
-            pool.map(
-                lambda e: _verify_one_epsilon(cfg, spectrum, states, e, out_dir, K),
-                eps_order,
-            )
-        )
+    sols = [
+        _verify_one_epsilon(cfg, spectrum, states, e, out_dir, K)
+        for e in eps_order
+    ]
 
     lines = [_VERIFY_HEADER]
     rows_json, failures, window_warnings = [], [], []

@@ -27,10 +27,12 @@ Unknowns are the interior nodes in every direction, ordered s-major
 
 Solves are deterministic: separable starting blocks (1D sine profiles times
 section modes), LOBPCG preconditioned by the exact shifted inverse of the
-separable part of the pencil (dense section eigenbasis with a sine transform
-along the axis; algebraic multigrid for sections too large to diagonalize),
-then a Rayleigh-quotient MINRES polish and a final dense Rayleigh-Ritz
-projection.
+separable part of the pencil (dense section eigenbasis times a sine
+transform along the axis, applied as matrix products), then a
+Rayleigh-quotient MINRES polish and a final dense Rayleigh-Ritz projection.
+Sections with more than 4096 interior nodes are too large for the dense
+eigenbasis; their iterative solves raise SolverFail unless the separable
+start block is already converged.
 Small problems go through a dense solver directly.  The residual target is
 1e-8 in the B-scaled norm, relaxed to the floating-point floor
 ``8 * eps_mach * ||H||_inf`` when the matrix norm makes a smaller residual
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.fft import dst
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from . import asymptotic_engine as engine
@@ -375,16 +376,17 @@ class DirectSolution:
 
 
 def _b_normalize(Bd: np.ndarray, U: np.ndarray) -> np.ndarray:
-    for j in range(U.shape[1]):
-        v = U[:, j]
-        for _ in range(2):  # twice-is-enough Gram-Schmidt
-            for i in range(j):
-                v = v - U[:, i] * (U[:, i] @ (Bd * v))
-        nrm = np.sqrt(v @ (Bd * v))
-        if not nrm > 0:
-            raise SolverFail("degenerate start block")
-        U[:, j] = v / nrm
-    return U
+    """B-orthonormal columns spanning U: Cholesky QR in the B inner
+    product, applied twice (the second pass removes the loss of
+    orthogonality the first leaves on moderately conditioned blocks)."""
+    for _ in range(2):
+        G = U.T @ (Bd[:, None] * U)
+        try:
+            L = np.linalg.cholesky(0.5 * (G + G.T))
+        except np.linalg.LinAlgError:
+            raise SolverFail("degenerate start block") from None
+        U = scipy.linalg.solve_triangular(L, U.T, lower=True).T
+    return np.ascontiguousarray(U)
 
 
 def _residual_norms(H, Bd, U, lam):
@@ -408,8 +410,13 @@ def _axial_eigenvalues(op: TransformedOperator) -> np.ndarray:
     return (4 / hs**2) * np.sin(m * np.pi * hs / (2 * s0)) ** 2
 
 
-def _start_block(op: TransformedOperator, nb: int, basis=None) -> np.ndarray:
-    """Separable starting vectors: 1D sine profiles times section modes."""
+def _start_block(op: TransformedOperator, nb: int, basis) -> np.ndarray:
+    """Separable starting vectors: 1D sine profiles times section modes.
+
+    `basis` is the dense (eigenvalues, eigenvector columns) pair of the
+    section Laplacian that the preconditioner built, or None above the
+    dense cutoff, where the lowest section modes are solved sparsely.
+    """
     ms = op.M_s - 2
     theta = _axial_eigenvalues(op)
     if basis is not None:
@@ -441,8 +448,8 @@ def _start_block(op: TransformedOperator, nb: int, basis=None) -> np.ndarray:
     return X
 
 
-# Sections up to this many interior nodes get the exact inverse of the
-# separable part as preconditioner (needs a dense section eigenbasis).
+# Sections up to this many interior nodes get a dense section eigenbasis
+# (its eigh costs O(n_omega^3) time and O(n_omega^2) memory).
 _SPECTRAL_CUTOFF = 4096
 
 
@@ -453,65 +460,50 @@ def _separable_preconditioner(op: TransformedOperator):
     are relatively bounded, so (sep - sigma I)^{-1} with sigma = 0.9 eps^-2
     lambda_1(S) is spectrally equivalent to (H - sigma B)^{-1}: it resolves
     the eps^-2 anisotropy that defeats black-box multigrid at small eps.
-    Applied via a dense section eigenbasis and an orthonormal DST-I along
-    the axis; fully deterministic.
+    Applied as four contiguous matrix products on the s-major unknowns: the
+    orthonormal type-I discrete sine transform matrix along the axis
+    (symmetric, its own inverse), the transposed dense section eigenbasis,
+    the diagonal scaling, and back.  Fully deterministic.  Returns
+    (preconditioner, (lam_sec, Phi)).
+
+    A section with more than _SPECTRAL_CUTOFF interior nodes gets no dense
+    basis (None) and an operator that raises SolverFail when applied.  A
+    solve whose separable start block is already converged never applies
+    it (the straight untwisted rod); any other solve fails with that error.
     """
+    ms, nw = op.M_s - 2, op.n_omega
+    if nw > _SPECTRAL_CUTOFF:
+
+        def refuse(X):
+            raise SolverFail(
+                f"section has {nw} interior nodes, above the limit of "
+                f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis of the "
+                "preconditioner; lower section.n"
+            )
+
+        return LinearOperator((op.n, op.n), matvec=refuse, dtype=float), None
     ops = op.spectrum.ops if op.spectrum is not None else build_operators(op.grid)
     lam_sec, Phi = scipy.linalg.eigh(ops.S.toarray())
-    ms, nw = op.M_s - 2, op.n_omega
-    theta = _axial_eigenvalues(op)
+    PhiT = np.ascontiguousarray(Phi.T)
+    j = np.arange(1, ms + 1)
+    sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
     sigma = 0.9 * op.eps**-2.0 * lam_sec[0]
-    denom = op.eps**-2.0 * lam_sec[None, :] + theta[:, None] - sigma
+    inv_denom = 1.0 / (
+        op.eps**-2.0 * lam_sec[:, None] + _axial_eigenvalues(op)[None, :] - sigma
+    )  # (n_omega, ms)
 
     def apply(X):
-        one_d = X.ndim == 1
-        U = X.reshape(ms, nw, -1)
-        k = U.shape[2]
-        U = (Phi.T @ U.transpose(1, 0, 2).reshape(nw, ms * k)).reshape(
-            nw, ms, k
-        ).transpose(1, 0, 2)
-        U = dst(U, type=1, axis=0, norm="ortho")
-        U = U / denom[:, :, None]
-        U = dst(U, type=1, axis=0, norm="ortho")
-        U = (Phi @ U.transpose(1, 0, 2).reshape(nw, ms * k)).reshape(
-            nw, ms, k
-        ).transpose(1, 0, 2).reshape(ms * nw, k)
-        return U.ravel() if one_d else np.ascontiguousarray(U)
+        k = X.size // op.n
+        U = sine @ X.reshape(ms, nw * k)
+        U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)
+        U = (PhiT @ U).reshape(nw, ms, k)
+        U *= inv_denom[:, :, None]
+        U = Phi @ U.reshape(nw, ms * k)
+        U = U.reshape(nw, ms, k).transpose(1, 0, 2).reshape(ms, nw * k)
+        return (sine @ U).reshape(X.shape)
 
     prec = LinearOperator((op.n, op.n), matvec=apply, matmat=apply, dtype=float)
     return prec, (lam_sec, Phi)
-
-
-def _make_preconditioner(op: TransformedOperator):
-    """(preconditioner, label, section basis or None) for the iterative path."""
-    if op.n_omega <= _SPECTRAL_CUTOFF:
-        try:
-            prec, basis = _separable_preconditioner(op)
-            return prec, "separable", basis
-        except Exception:
-            pass
-    H = op.H
-    try:
-        import pyamg
-
-        # the multigrid setup estimates spectral radii with randomized
-        # probes; pin the global state so identical inputs give identical
-        # preconditioners (and bit-identical reruns downstream)
-        state = np.random.get_state()
-        try:
-            np.random.seed(1905)
-            ml = pyamg.smoothed_aggregation_solver(H, max_coarse=64)
-        finally:
-            np.random.set_state(state)
-        return ml.aspreconditioner(cycle="V"), "amg", None
-    except Exception:  # tiny or oddly-structured matrices: diagonal fallback
-        d = H.diagonal()
-        d = np.where(d > 0, d, 1.0)
-        return (
-            LinearOperator(H.shape, matvec=lambda x: x / d, dtype=float),
-            "jacobi",
-            None,
-        )
 
 
 def solve_direct(
@@ -553,7 +545,7 @@ def solve_direct(
     nb = min(nb, n // 4)
     if nb < K:
         raise SolverFail(f"block size {nb} below K = {K}; refine the grid")
-    prec, prec_kind, basis = _make_preconditioner(op)
+    prec, basis = _separable_preconditioner(op)
     X = _b_normalize(Bd, _start_block(op, nb, basis))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -572,7 +564,7 @@ def solve_direct(
     history.append(
         {
             "stage": "lobpcg",
-            "preconditioner": prec_kind,
+            "preconditioner": "separable",
             "max_resid": float(res.max()),
             "warnings": [str(c.message) for c in caught],
         }

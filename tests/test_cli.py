@@ -324,6 +324,23 @@ def test_main_exit_two_on_config_error(tmp_path, capsys):
     assert failure["path"] == "modes[0]"
 
 
+def test_main_exit_two_on_section_above_spectral_cutoff(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
+    path = write_config(
+        tmp_path, {"epsilon": 0.2, "solver": {"dense_cutoff": 0}}, base=HELIX
+    )
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "SolverFail"
+    assert "limit of 16" in failure["message"]
+    assert "section.n" in failure["message"]
+
+
 def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
     # the same mode listed twice cannot be matched injectively; the run
     # completes and reports the pairing failure

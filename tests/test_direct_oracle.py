@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from thinrod import asymptotic_engine as engine
+from thinrod import direct_oracle
 from thinrod.cross_section import laplacian, solve_section, square_grid
 from thinrod.direct_oracle import (
     assemble,
@@ -169,6 +170,32 @@ def test_iterative_solver_on_curved_twisted_rod():
     dense = solve_direct(op, 3)
     it = solve_direct(op, 3, dense_cutoff=0)
     assert it.lam == pytest.approx(dense.lam, abs=1e-7)
+
+
+def test_preconditioner_is_exact_separable_inverse():
+    # a straight untwisted rod has B = I and H equal to its separable part,
+    # so the preconditioner inverts H - sigma I exactly, for a block of
+    # columns and for the single vectors the MINRES polish passes
+    fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
+    op = assemble(fr, _square(n=10, count=3), 0.2)
+    assert np.all(op.B == 1.0)
+    prec, (lam_sec, _) = direct_oracle._separable_preconditioner(op)
+    sigma = 0.9 * op.eps**-2.0 * lam_sec[0]  # the documented shift
+    A = op.H - sigma * sp.identity(op.n, format="csr")
+    X = np.cos(0.37 * np.arange(op.n * 4, dtype=float)).reshape(op.n, 4)
+    assert np.abs(prec.matmat(A @ X) - X).max() < 1e-12
+    x = X[:, 1].copy()
+    y = prec.matvec(A @ x)
+    assert y.shape == x.shape
+    assert np.abs(y - x).max() < 1e-12
+
+
+def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
+    assert op.n_omega > 16
+    with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
+        solve_direct(op, 3, dense_cutoff=0)
 
 
 def test_solver_rejects_bad_sizes():
