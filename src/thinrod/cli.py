@@ -24,7 +24,8 @@ Config schema (unknown fields are rejected, naming the offending path):
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
       "solver":  {"tol": float, "dense_cutoff": int, "maxiter": int,
-                  "count": int  (direct eigenpairs; default auto)},
+                  "count": int  (direct eigenpairs, fewer than the
+                                 unknowns; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
       "thresholds": {"slope_min": 1.5, "slope_max": 2.5,
@@ -52,7 +53,7 @@ from . import asymptotic_engine as engine
 from . import direct_oracle as oracle
 from .cross_section import disk_grid, mask_grid, solve_section, square_grid
 from .curve_operator import solve_reduced
-from .errors import ConfigError, ThinRodError, UnderresolvedWindow
+from .errors import ConfigError, SolverFail, ThinRodError, UnderresolvedWindow
 from .geometry import CurveSpec, build_frame
 
 _DEFAULT_ORDER = 4
@@ -263,6 +264,12 @@ def parse_config(path) -> RunConfig:
         frame = build_frame(curve, M_s)
     except ThinRodError as e:
         raise ConfigError("curve", str(e)) from e
+    unknowns = (M_s - 2) * grid.n_interior
+    if not 0 <= solver["count"] < unknowns:
+        raise ConfigError(
+            "solver.count",
+            f"expected 0 (auto) or 1 to {unknowns - 1} for {unknowns} unknowns",
+        )
     if epsilons:
         q = (
             frame.kappa1[:, None] * grid.xi2[None, :]
@@ -793,9 +800,10 @@ def main(argv=None) -> int:
         ]}))
         return 2
     except ThinRodError as e:
-        print(json.dumps({"failures": [
-            {"kind": type(e).__name__, "message": str(e)}
-        ]}))
+        failure = {"kind": type(e).__name__, "message": str(e)}
+        if isinstance(e, SolverFail):
+            failure["history"] = _jsonable(e.history)
+        print(json.dumps({"failures": [failure]}))
         return 2
 
     if failures:

@@ -341,6 +341,38 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     assert "section.n" in failure["message"]
 
 
+def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
+    # one LOBPCG iteration leaves the solve short of its target
+    path = write_config(
+        tmp_path,
+        {"epsilon": 0.2, "solver": {"dense_cutoff": 0, "maxiter": 1}},
+        base=HELIX,
+    )
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "SolverFail"
+    stage = failure["history"][0]
+    assert stage["stage"] == "lobpcg"
+    assert stage["residual_history"]
+    assert stage["residual_history"][-1] > 1e-8
+
+
+@pytest.mark.parametrize("count", [1000000, -1])
+def test_main_exit_two_on_solver_count_out_of_range(tmp_path, capsys, count):
+    # the straight config has 18 * 64 = 1152 unknowns
+    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"count": count}})
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "config"
+    assert failure["path"] == "solver.count"
+
+
 def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
     # the same mode listed twice cannot be matched injectively; the run
     # completes and reports the pairing failure

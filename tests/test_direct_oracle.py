@@ -162,7 +162,7 @@ def test_iterative_solver_matches_dense_solver():
     it = solve_direct(op, 3, dense_cutoff=0)
     assert it.lam == pytest.approx(dense.lam, abs=1e-7)
     assert np.all(it.residuals < 1e-8)
-    assert any(h["stage"] == "lobpcg" for h in it.history)
+    assert [h["stage"] for h in it.history] == ["lobpcg"]
 
 
 def test_iterative_solver_on_curved_twisted_rod():
@@ -174,8 +174,8 @@ def test_iterative_solver_on_curved_twisted_rod():
 
 def test_preconditioner_is_exact_separable_inverse():
     # a straight untwisted rod has B = I and H equal to its separable part,
-    # so the preconditioner inverts H - sigma I exactly, for a block of
-    # columns and for the single vectors the MINRES polish passes
+    # so the preconditioner inverts H - sigma I exactly, through the
+    # operator's matmat for a block of columns and its matvec for a vector
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     op = assemble(fr, _square(n=10, count=3), 0.2)
     assert np.all(op.B == 1.0)
@@ -196,6 +196,18 @@ def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
     assert op.n_omega > 16
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
         solve_direct(op, 3, dense_cutoff=0)
+
+
+def test_lobpcg_short_of_target_raises_solver_fail_with_history():
+    # one LOBPCG iteration cannot reach the target; the failure carries the
+    # per-iteration residual history instead of accepting a looser limit
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    with pytest.raises(SolverFail, match="stalled") as exc:
+        solve_direct(op, 3, dense_cutoff=0, maxiter=1)
+    (stage,) = exc.value.history
+    assert stage["stage"] == "lobpcg"
+    assert stage["residual_history"]
+    assert stage["residual_history"][-1] > 1e-8
 
 
 def test_solver_rejects_bad_sizes():
