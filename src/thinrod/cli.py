@@ -6,7 +6,8 @@ outputs (no binary formats).  All floating-point values are printed with
 17 significant digits, so files round-trip exactly and reruns are
 byte-identical.  Exit code 0 means every enabled check passed; failures
 are printed as a machine-readable JSON list and yield exit code 1
-(2 for configuration or solver errors).
+(2 for configuration or solver errors, and for any other exception, which
+is reported as an "internal" failure instead of a traceback).
 
 Config schema (unknown fields are rejected, naming the offending path):
 
@@ -23,7 +24,9 @@ Config schema (unknown fields are rejected, naming the offending path):
       "modes":   [[n, m], ...]  (default [[1, 1]]),
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
-      "solver":  {"tol": float, "dense_cutoff": int, "maxiter": int,
+      "solver":  {"tol": float  (> 0, default 1e-8),
+                  "dense_cutoff": int  (>= 0, default 2048),
+                  "maxiter": int  (>= 1, default 150),
                   "count": int  (direct eigenpairs, fewer than the
                                  unknowns; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
@@ -89,7 +92,6 @@ class RunConfig:
     modes: list
     order: int
     epsilons: list | None
-    epsilon_is_list: bool
     solver: dict
     prefix: str
     dump_matrix: bool
@@ -248,6 +250,12 @@ def parse_config(path) -> RunConfig:
         "maxiter": _get(solver, "maxiter", int, "solver", default=150),
         "count": _get(solver, "count", int, "solver", default=0),
     }
+    if not solver["tol"] > 0:
+        raise ConfigError("solver.tol", "expected a positive number")
+    if solver["dense_cutoff"] < 0:
+        raise ConfigError("solver.dense_cutoff", "expected an integer >= 0")
+    if solver["maxiter"] < 1:
+        raise ConfigError("solver.maxiter", "expected an integer >= 1")
     output = _get(raw, "output", dict, "", default={})
     _reject_unknown(output, {"prefix"}, "output")
     prefix = _get(output, "prefix", str, "output", default="thinrod")
@@ -290,7 +298,6 @@ def parse_config(path) -> RunConfig:
         modes=parsed_modes,
         order=order,
         epsilons=epsilons,
-        epsilon_is_list=eps_is_list,
         solver=solver,
         prefix=prefix,
         dump_matrix=dump,
@@ -346,14 +353,9 @@ def _auto_count(cfg: RunConfig, spectrum) -> int:
     """Direct eigenpairs needed to cover the requested modes, plus guards."""
     if cfg.solver["count"] > 0:
         return cfg.solver["count"]
-    eps = min(cfg.epsilons)
-    hs, s0 = cfg.frame.h, cfg.frame.s0
-    surrogate = []
-    for k in range(spectrum.count):
-        for m in range(1, cfg.M_s - 1):
-            theta = (4 / hs**2) * np.sin(m * np.pi * hs / (2 * s0)) ** 2
-            surrogate.append((eps**-2.0 * spectrum.lam[k] + theta, k + 1, m))
-    surrogate.sort()
+    surrogate = oracle.separable_ladder(
+        cfg.frame, spectrum.lam, min(cfg.epsilons), cfg.M_s - 2
+    )
     top = 0
     for n, m in cfg.modes:
         for rank, (_, kn, km) in enumerate(surrogate):
@@ -365,8 +367,8 @@ def _auto_count(cfg: RunConfig, spectrum) -> int:
     return top + 2
 
 
-def _verify_one_epsilon(cfg: RunConfig, spectrum, states, eps: float, out_dir, K):
-    op = oracle.assemble(cfg.frame, spectrum, eps)
+def _verify_one_epsilon(cfg: RunConfig, eps: float, out_dir, K):
+    op = oracle.assemble(cfg.frame, cfg.grid, eps)
     sol = oracle.solve_direct(
         op,
         K,
@@ -379,7 +381,7 @@ def _verify_one_epsilon(cfg: RunConfig, spectrum, states, eps: float, out_dir, K
     return sol
 
 
-def _report_rows(cfg, sol, states, eps):
+def _report_rows(sol, states, eps):
     captured = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -521,8 +523,8 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     spectrum = _solve_spectrum(cfg)
     states = _run_states(cfg, spectrum)
     K = _auto_count(cfg, spectrum)
-    sol = _verify_one_epsilon(cfg, spectrum, states, eps, out_dir, K)
-    rep, window_warnings = _report_rows(cfg, sol, states, eps)
+    sol = _verify_one_epsilon(cfg, eps, out_dir, K)
+    rep, window_warnings = _report_rows(sol, states, eps)
     failures = _row_failures(eps, rep)
     lines = [_VERIFY_HEADER] + [_csv_line(eps, r) for r in rep.rows]
     report = {
@@ -541,13 +543,9 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
 
 
 def _fit_slope(eps_list, values):
-    """log-log least-squares slope, or None when the signal sits at noise."""
-    v = np.asarray(values)
-    if np.any(v <= 0):
-        return None
-    x, y = np.log(np.asarray(eps_list)), np.log(v)
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope
+    """log-log least-squares slope of positive values against eps."""
+    x, y = np.log(np.asarray(eps_list)), np.log(np.asarray(values))
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def cmd_sweep(cfg: RunConfig, out_dir) -> list:
@@ -566,16 +564,13 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
     K = _auto_count(cfg, spectrum)
     eps_order = sorted(cfg.epsilons, reverse=True)
 
-    sols = [
-        _verify_one_epsilon(cfg, spectrum, states, e, out_dir, K)
-        for e in eps_order
-    ]
+    sols = [_verify_one_epsilon(cfg, e, out_dir, K) for e in eps_order]
 
     lines = [_VERIFY_HEADER]
     rows_json, failures, window_warnings = [], [], []
     reports = []
     for eps, sol in zip(eps_order, sols):
-        rep, caught = _report_rows(cfg, sol, states, eps)
+        rep, caught = _report_rows(sol, states, eps)
         window_warnings.extend(caught)
         failures.extend(_row_failures(eps, rep))
         for r in rep.rows:
@@ -672,8 +667,7 @@ def _selftest_checks():
     @check("direct solve reproduces the separable spectrum")
     def _(tmp):
         fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-        spec = solve_section(square_grid(1.0, 10), 3)
-        op = oracle.assemble(fr, spec, 0.2)
+        op = oracle.assemble(fr, square_grid(1.0, 10), 0.2)
         sol = oracle.solve_direct(op, 3)
         ref = [v for v, _, _ in oracle.separable_eigenvalues(op, 3)]
         err = np.abs(sol.lam - np.asarray(ref)) / np.asarray(ref)
@@ -683,8 +677,7 @@ def _selftest_checks():
     def _(tmp):
         fr = build_frame(CurveSpec("straight", s0=np.pi, twist="linear",
                                    twist_rate=0.8), 20)
-        spec = solve_section(square_grid(1.0, 10), 2)
-        op = oracle.assemble(fr, spec, 0.2)
+        op = oracle.assemble(fr, square_grid(1.0, 10), 0.2)
         sol = oracle.solve_direct(op, 3)
         rho, ok = oracle.residual_certificate(
             op, float(sol.lam[0]), sol.vectors[:, 0], sol
@@ -708,8 +701,7 @@ def _selftest_checks():
             CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
             20,
         )
-        spec = solve_section(square_grid(1.0, 10, center=(0.1, 0.0)), 2)
-        op = oracle.assemble(fr, spec, 0.2)
+        op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
         assert oracle.series_defect(op, 12) < 1e-9
 
     @check("expansion output is byte-identical across reruns")
@@ -804,6 +796,11 @@ def main(argv=None) -> int:
         if isinstance(e, SolverFail):
             failure["history"] = _jsonable(e.history)
         print(json.dumps({"failures": [failure]}))
+        return 2
+    except Exception as e:  # noqa: BLE001 - exit 1 is reserved for failed checks
+        print(json.dumps({"failures": [
+            {"kind": "internal", "type": type(e).__name__, "message": str(e)}
+        ]}))
         return 2
 
     if failures:

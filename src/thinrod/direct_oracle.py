@@ -25,10 +25,18 @@ Unknowns are the interior nodes in every direction, ordered s-major
 (flat index = s_index * n_omega + section_index), matching
 ``field[1:-1].reshape(-1)`` for the engine's full-grid fields.
 
-Solves are deterministic: separable starting blocks (1D sine profiles times
-section modes) and one LOBPCG call preconditioned by the exact shifted
-inverse of the separable part of the pencil (dense section eigenbasis times
-a sine transform along the axis, applied as matrix products).
+The separable part of the pencil, eps^-2 S (x) I + I (x) D_s, has the
+two-parametric spectrum eps^-2 lambda_n(omega) + theta_m, one rung per
+section mode n and axial sine mode m.  It is defined once: theta_m in
+``_axial_eigenvalues``, the sorted rungs in :func:`separable_ladder`.  The
+start block, the preconditioner's denominators, the straight-rod reference
+and the CLI's eigenpair count all read that definition.
+
+Solves are deterministic: the starting block is the lowest rungs of the
+ladder (1D sine profiles times section modes solved sparsely on the
+operator's grid) and one LOBPCG call is preconditioned by the exact shifted
+inverse of the separable part (dense section eigenbasis times a sine
+transform along the axis, applied as matrix products).
 Sections with more than 4096 interior nodes are too large for the dense
 eigenbasis; their iterative solves raise SolverFail unless the separable
 start block is already converged.
@@ -49,12 +57,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import asymptotic_engine as engine
-from .cross_section import (
-    SectionGrid,
-    SectionSpectrum,
-    build_operators,
-    solve_section,
-)
+from .cross_section import SectionGrid, build_operators, laplacian, solve_section
 from .errors import PairingAmbiguous, SolverFail, UnderresolvedWindow
 from .geometry import FrameField
 
@@ -69,6 +72,7 @@ __all__ = [
     "residual_certificate",
     "compare",
     "series_defect",
+    "separable_ladder",
     "separable_eigenvalues",
     "operator_checks",
     "dump_matrix",
@@ -113,7 +117,6 @@ class TransformedOperator:
     eps: float
     frame: FrameField
     grid: SectionGrid
-    spectrum: SectionSpectrum | None
     H: sp.csr_matrix
     B: np.ndarray  # diagonal of the weight matrix, interior tensor nodes
     q: np.ndarray  # full-grid (M_s, n_omega) tilt field
@@ -172,25 +175,16 @@ def to_field(op: TransformedOperator, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _section_of(section):
-    """Accept a SectionGrid or a SectionSpectrum; return (grid, ops, spec)."""
-    if isinstance(section, SectionSpectrum):
-        return section.grid, section.ops, section
-    if isinstance(section, SectionGrid):
-        return section, build_operators(section), None
-    raise TypeError("section must be a SectionGrid or SectionSpectrum")
+def assemble(frame: FrameField, grid: SectionGrid, eps: float) -> TransformedOperator:
+    """Build the sparse symmetric pencil (H(eps), B(eps)) on the section grid.
 
-
-def assemble(frame: FrameField, section, eps: float) -> TransformedOperator:
-    """Build the sparse symmetric pencil (H(eps), B(eps)).
-
-    `section` is the cross-section grid (or a solved spectrum on it, whose
-    modes then seed the eigensolver starts).  Requires eps * max|q| < 1/2 so
-    the weight 1 - eps q stays in [1/2, 3/2]; raises EpsilonOutOfRange
-    otherwise.  Dirichlet rows are eliminated: unknowns are interior nodes
-    only.  H is exactly symmetric as stored.
+    Requires eps * max|q| < 1/2 so the weight 1 - eps q stays in [1/2, 3/2];
+    raises EpsilonOutOfRange otherwise.  Dirichlet rows are eliminated:
+    unknowns are interior nodes only.  H is exactly symmetric as stored.
+    The operator carries no section modes; whatever needs them solves them
+    from its grid.
     """
-    grid, ops, spectrum = _section_of(section)
+    ops = build_operators(grid)
     k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
     q = k1[:, None] * grid.xi2[None, :] - k2[:, None] * grid.xi3[None, :]
     engine.check_epsilon(q, eps)
@@ -206,13 +200,8 @@ def assemble(frame: FrameField, section, eps: float) -> TransformedOperator:
     q_mid = 0.5 * (q[:-1] + q[1:])
     c_s = 1.0 / (1.0 - eps * q_mid)  # (M_s - 1, n_omega)
     diag0 = ((c_s[:-1] + c_s[1:]) / hs**2).ravel()
-    if ms > 1:
-        diag1 = (-c_s[1:-1] / hs**2).ravel()
-        H = sp.diags(
-            [diag1, diag0, diag1], [-n_omega, 0, n_omega], format="csr"
-        )
-    else:
-        H = sp.diags([diag0], [0], format="csr")
+    diag1 = (-c_s[1:-1] / hs**2).ravel()
+    H = sp.diags([diag1, diag0, diag1], [-n_omega, 0, n_omega], format="csr")
 
     # transverse flux, edge weight p = 1 - eps q.  Because q is affine on
     # the section, the edge-midpoint flux form equals
@@ -254,7 +243,6 @@ def assemble(frame: FrameField, section, eps: float) -> TransformedOperator:
         eps=float(eps),
         frame=frame,
         grid=grid,
-        spectrum=spectrum,
         H=H,
         B=B,
         q=q,
@@ -334,9 +322,7 @@ def series_defect(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    spectrum = op.spectrum
-    if spectrum is None:
-        spectrum = solve_section(op.grid, 2)
+    spectrum = solve_section(op.grid, 2)
     ctx = engine.build_context(op.frame, spectrum)
     Z = _probe_field(op) if field is None else np.asarray(field, float)
     z = to_vector(op, Z)
@@ -369,7 +355,6 @@ class DirectSolution:
     vectors: np.ndarray
     residuals: np.ndarray
     ritz_all: np.ndarray
-    residuals_all: np.ndarray
     window_guard: float
     history: list = field(default_factory=list)
 
@@ -395,47 +380,45 @@ def _residual_norms(H, Bd, U, lam):
     )
 
 
-def _axial_eigenvalues(op: TransformedOperator) -> np.ndarray:
-    """Eigenvalues of the interior second-difference matrix along the axis."""
-    ms, hs, s0 = op.M_s - 2, op.frame.h, op.frame.s0
-    m = np.arange(1, ms + 1)
-    return (4 / hs**2) * np.sin(m * np.pi * hs / (2 * s0)) ** 2
+def _axial_eigenvalues(frame: FrameField, m_max: int) -> np.ndarray:
+    """theta_1..theta_m_max: eigenvalues (4/h^2) sin^2(m pi h / (2 s0)) of
+    the interior second-difference matrix along the axis."""
+    m = np.arange(1, m_max + 1)
+    return (4 / frame.h**2) * np.sin(m * np.pi * frame.h / (2 * frame.s0)) ** 2
 
 
-def _start_block(op: TransformedOperator, nb: int, basis) -> np.ndarray:
-    """Separable starting vectors: 1D sine profiles times section modes.
+def separable_ladder(frame: FrameField, lam_sec, eps: float, m_max: int) -> list:
+    """The separable two-parametric set eps^-2 lambda_n + theta_m, ascending.
 
-    `basis` is the dense (eigenvalues, eigenvector columns) pair of the
-    section Laplacian that the preconditioner built, or None above the
-    dense cutoff, where the lowest section modes are solved sparsely.
+    One rung per section eigenvalue lambda_n in `lam_sec` (n = 1, 2, ...)
+    and axial sine mode m = 1..m_max, as (value, n, m) triples.  This is
+    the exact spectrum of the pencil on a straight untwisted rod and the
+    leading order of the paper's expansions on any rod.
     """
-    ms = op.M_s - 2
-    theta = _axial_eigenvalues(op)
-    if basis is not None:
-        lam_sec, phi_cols = basis
-        n_sec = min(nb, lam_sec.size)
-    else:
-        n_sec = min(max(2, nb), op.n_omega - 2)
-        spectrum = op.spectrum
-        if spectrum is None or spectrum.count < n_sec:
-            spectrum = solve_section(op.grid, n_sec)
-        lam_sec, phi_cols = spectrum.lam, spectrum.phi.T
-        n_sec = spectrum.count
-    s0 = op.frame.s0
+    theta = _axial_eigenvalues(frame, m_max)
+    return sorted(
+        (eps**-2.0 * lam + th, n, m)
+        for n, lam in enumerate(lam_sec, start=1)
+        for m, th in enumerate(theta, start=1)
+    )
+
+
+def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
+    """Separable starting vectors: the nb lowest rungs of the ladder.
+
+    Each column is a 1D sine profile times a section mode.  The section
+    modes are solved sparsely on the operator's grid, the same way at every
+    section size; nb <= n / 4 (the solver's block limit) guarantees the
+    ladder has nb rungs.
+    """
+    spectrum = solve_section(op.grid, min(nb, op.n_omega - 2))
+    ladder = separable_ladder(op.frame, spectrum.lam, op.eps, min(nb, op.M_s - 2))
     s_int = op.frame.s_grid[1:-1]
-    pairs = []
-    for k in range(n_sec):
-        for m in range(1, min(nb, ms) + 1):
-            pairs.append((op.eps**-2.0 * lam_sec[k] + theta[m - 1], k, m))
-    pairs.sort()
-    if len(pairs) < nb:
-        raise SolverFail(
-            f"only {len(pairs)} separable starts for block size {nb}"
-        )
     X = np.empty((op.n, nb))
-    for col, (_, k, m) in enumerate(pairs[:nb]):
+    for col, (_, n, m) in enumerate(ladder[:nb]):
         X[:, col] = (
-            np.sin(m * np.pi * s_int / s0)[:, None] * phi_cols[:, k][None, :]
+            np.sin(m * np.pi * s_int / op.frame.s0)[:, None]
+            * spectrum.phi[n - 1][None, :]
         ).reshape(-1)
     return X
 
@@ -455,11 +438,12 @@ def _separable_preconditioner(op: TransformedOperator):
     Applied as four contiguous matrix products on the s-major unknowns: the
     orthonormal type-I discrete sine transform matrix along the axis
     (symmetric, its own inverse), the transposed dense section eigenbasis,
-    the diagonal scaling, and back.  Fully deterministic.  Returns
-    (preconditioner, (lam_sec, Phi)).
+    the diagonal scaling, and back.  The denominators are the rungs of the
+    separable ladder, minus sigma.  Fully deterministic.  The dense basis
+    stays inside the returned LinearOperator.
 
     A section with more than _SPECTRAL_CUTOFF interior nodes gets no dense
-    basis (None) and an operator that raises SolverFail when applied.  A
+    basis and an operator that raises SolverFail when applied.  A
     solve whose separable start block is already converged never applies
     it (the straight untwisted rod); any other solve fails with that error.
     """
@@ -473,15 +457,16 @@ def _separable_preconditioner(op: TransformedOperator):
                 "preconditioner; lower section.n"
             )
 
-        return LinearOperator((op.n, op.n), matvec=refuse, dtype=float), None
-    ops = op.spectrum.ops if op.spectrum is not None else build_operators(op.grid)
-    lam_sec, Phi = scipy.linalg.eigh(ops.S.toarray())
+        return LinearOperator((op.n, op.n), matvec=refuse, dtype=float)
+    lam_sec, Phi = scipy.linalg.eigh(laplacian(op.grid).toarray())
     PhiT = np.ascontiguousarray(Phi.T)
     j = np.arange(1, ms + 1)
     sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
     sigma = 0.9 * op.eps**-2.0 * lam_sec[0]
     inv_denom = 1.0 / (
-        op.eps**-2.0 * lam_sec[:, None] + _axial_eigenvalues(op)[None, :] - sigma
+        op.eps**-2.0 * lam_sec[:, None]
+        + _axial_eigenvalues(op.frame, ms)[None, :]
+        - sigma
     )  # (n_omega, ms)
 
     def apply(X):
@@ -494,8 +479,7 @@ def _separable_preconditioner(op: TransformedOperator):
         U = U.reshape(nw, ms, k).transpose(1, 0, 2).reshape(ms, nw * k)
         return (sine @ U).reshape(X.shape)
 
-    prec = LinearOperator((op.n, op.n), matvec=apply, matmat=apply, dtype=float)
-    return prec, (lam_sec, Phi)
+    return LinearOperator((op.n, op.n), matvec=apply, matmat=apply, dtype=float)
 
 
 def solve_direct(
@@ -533,8 +517,8 @@ def solve_direct(
         nb = min(nb, n // 4)
         if nb < K:
             raise SolverFail(f"block size {nb} below K = {K}; refine the grid")
-        prec, basis = _separable_preconditioner(op)
-        X = _b_normalize(Bd, _start_block(op, nb, basis))
+        prec = _separable_preconditioner(op)
+        X = _b_normalize(Bd, _start_block(op, nb))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             w, V, res_hist = lobpcg(
@@ -573,7 +557,6 @@ def solve_direct(
         vectors=V[:, :K].copy(),
         residuals=res[:K].copy(),
         ritz_all=w.copy(),
-        residuals_all=res.copy(),
         window_guard=float(w[nb - 1] - res[nb - 1]),
         history=history,
     )
@@ -715,20 +698,12 @@ def separable_eigenvalues(op: TransformedOperator, count: int):
     """Exact discrete eigenvalues for the straight untwisted rod.
 
     With all curvatures zero, H splits as a Kronecker sum, so its spectrum
-    is eps^-2 * (section eigenvalue) + (4/h^2) sin^2(m pi h / (2 s0)).
-    Returns the `count` smallest as (value, n, m) triples, ascending.
+    is the separable ladder (see :func:`separable_ladder`).  Returns the
+    `count` smallest as (value, n, m) triples, ascending.
     """
     if np.abs(op.q).max() > 0 or np.abs(op.frame.kappa3).max() > 0:
         raise ValueError("separable reference requires a straight untwisted rod")
-    spectrum = op.spectrum
-    n_sec = min(count + 1, op.n_omega - 2)
-    if spectrum is None or spectrum.count < n_sec:
-        spectrum = solve_section(op.grid, n_sec)
-    hs, s0 = op.frame.h, op.frame.s0
-    out = []
-    for k in range(spectrum.count):
-        for m in range(1, min(count + 1, op.M_s - 2) + 1):
-            theta = (4 / hs**2) * np.sin(m * np.pi * hs / (2 * s0)) ** 2
-            out.append((op.eps**-2.0 * spectrum.lam[k] + theta, k + 1, m))
-    out.sort()
-    return out[:count]
+    spectrum = solve_section(op.grid, min(count, op.n_omega - 2))
+    return separable_ladder(
+        op.frame, spectrum.lam, op.eps, min(count, op.M_s - 2)
+    )[:count]

@@ -58,7 +58,7 @@ def helix_bundle():
     states = [engine.run_recurrence(frame, spectrum, 1, m, 3) for m in (1, 2, 3)]
     reports = {}
     for eps in (0.2, 0.1, 0.05):
-        op = oracle.assemble(frame, spectrum, eps)
+        op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 5)
         reports[eps] = oracle.compare(sol, states, eps)
     return {
@@ -291,7 +291,7 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
         frame = build_frame(curve, M_s)
         spectrum = solve_section(square_grid(1.0, n_sec, center=center), 3)
         states = [engine.run_recurrence(frame, spectrum, 1, m, 4) for m in (1, 2)]
-        op = oracle.assemble(frame, spectrum, eps)
+        op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 4)
         rep = oracle.compare(sol, states, eps)
         for row in rep.rows:

@@ -305,12 +305,26 @@ def run_main(args, capsys):
 
 
 def test_main_exit_zero_on_success(tmp_path, capsys):
-    path = write_config(tmp_path)
-    code, payload = run_main(
-        ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
-    )
-    assert code == 0
-    assert payload == {"failures": []}
+    # one expand per section kind; the mask is a 7 x 8 block with two
+    # corners cut, so it is neither a square nor a disk
+    mask = tmp_path / "section.mask"
+    rows = ["00111111"] + ["11111111"] * 5 + ["11111100"]
+    mask.write_text("7 8 0.125\n" + "\n".join(rows) + "\n")
+    sections = {
+        "square": {"kind": "square", "side": 1.0, "n": 8},
+        "disk": {"kind": "disk", "radius": 0.5, "n": 9},
+        "mask": {"kind": "mask", "path": str(mask)},
+    }
+    for kind, section in sections.items():
+        path = write_config(tmp_path, {"section": section})
+        out = tmp_path / kind
+        code, payload = run_main(
+            ["expand", "--config", str(path), "--out", str(out)], capsys
+        )
+        assert code == 0, kind
+        assert payload == {"failures": []}
+        side = json.loads((out / "thinrod_expand.json").read_text())
+        assert side["grid"]["section_kind"] == kind
 
 
 def test_main_exit_two_on_config_error(tmp_path, capsys):
@@ -360,17 +374,44 @@ def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
     assert stage["residual_history"][-1] > 1e-8
 
 
-@pytest.mark.parametrize("count", [1000000, -1])
-def test_main_exit_two_on_solver_count_out_of_range(tmp_path, capsys, count):
-    # the straight config has 18 * 64 = 1152 unknowns
-    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"count": count}})
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("count", 1000000),  # the straight config has 18 * 64 = 1152 unknowns
+        ("count", -1),
+        ("tol", 0.0),
+        ("tol", -1.0),
+        ("maxiter", 0),
+        ("dense_cutoff", -5),
+    ],
+)
+def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {key: value}})
     code, payload = run_main(
         ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
     )
     assert code == 2
     (failure,) = payload["failures"]
     assert failure["kind"] == "config"
-    assert failure["path"] == "solver.count"
+    assert failure["path"] == f"solver.{key}"
+
+
+def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception outside the typed errors is reported, not raised, and
+    # never takes exit code 1, which means "checks failed"
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(cli.oracle, "solve_direct", broken)
+    path = write_config(tmp_path, {"epsilon": 0.2})
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert payload == {"failures": [
+        {"kind": "internal", "type": "LinAlgError",
+         "message": "eigh did not converge"}
+    ]}
 
 
 def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
@@ -384,6 +425,27 @@ def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
     assert any(f["kind"] == "pairing" for f in payload["failures"])
     report = json.loads((tmp_path / "thinrod_verify.json").read_text())
     assert report["ok"] is False
+
+
+def test_main_exit_one_on_rate_outside_thresholds(tmp_path, capsys):
+    # the helix gap decays at about eps^2; demanding a slope of at least 3
+    # completes the sweep and reports the rate failure
+    path = write_config(
+        tmp_path,
+        {"epsilon": [0.2, 0.1], "thresholds": {"slope_min": 3.0, "slope_max": 4.0}},
+        base=HELIX,
+    )
+    code, payload = run_main(
+        ["sweep", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "rate"
+    assert (failure["n"], failure["m"]) == (1, 1)
+    assert failure["slope"] < 3.0
+    report = json.loads((tmp_path / "thinrod_sweep.json").read_text())
+    assert report["ok"] is False
+    assert report["failures"] == payload["failures"]
 
 
 def test_main_selftest_passes(tmp_path, capsys):

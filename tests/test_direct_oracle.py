@@ -8,6 +8,7 @@ for symmetric pencils.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from thinrod import asymptotic_engine as engine
@@ -47,8 +48,7 @@ def _helix_op(eps=0.25, n=12, M_s=24):
         CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
         M_s,
     )
-    spec = _square(n=n, center=(0.12, -0.07))
-    return assemble(fr, spec, eps)
+    return assemble(fr, square_grid(1.0, n, center=(0.12, -0.07)), eps)
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_series_defect_straight_twisted_is_machine_level():
     fr = build_frame(
         CurveSpec("straight", s0=np.pi, twist="linear", twist_rate=0.8), 20
     )
-    op = assemble(fr, _square(n=10), 0.2)
+    op = assemble(fr, square_grid(1.0, 10), 0.2)
     assert series_defect(op, 2) < 1e-13
 
 
@@ -143,10 +143,17 @@ def test_series_defect_straight_twisted_is_machine_level():
 
 def test_straight_rod_eigenvalues_are_separable_sums():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-    spec = _square(n=10, count=4)
-    op = assemble(fr, spec, 0.2)
+    op = assemble(fr, square_grid(1.0, 10), 0.2)
     sol = solve_direct(op, 4)
-    ref = [v for v, _, _ in separable_eigenvalues(op, 4)]
+    ladder = separable_eigenvalues(op, 4)
+    # the transverse gap eps^-2 (lambda_2 - lambda_1) ~ 740 is far above
+    # theta_4 ~ 16, so the four lowest rungs are the n = 1 axial ladder
+    lam_1 = solve_section(op.grid, 2).lam[0]
+    assert [(n, m) for _, n, m in ladder] == [(1, 1), (1, 2), (1, 3), (1, 4)]
+    for v, _, m in ladder:
+        theta = _sine_eigenvalue(m, fr.h, fr.s0)
+        assert v == pytest.approx(0.2**-2 * lam_1 + theta, rel=1e-12)
+    ref = [v for v, _, _ in ladder]
     assert sol.lam == pytest.approx(ref, rel=1e-9)
     assert np.all(sol.residuals < 1e-8)
     assert np.all(np.diff(sol.lam) > 0)
@@ -156,8 +163,7 @@ def test_straight_rod_eigenvalues_are_separable_sums():
 
 def test_iterative_solver_matches_dense_solver():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-    spec = _square(n=10, count=4)
-    op = assemble(fr, spec, 0.2)
+    op = assemble(fr, square_grid(1.0, 10), 0.2)
     dense = solve_direct(op, 3)
     it = solve_direct(op, 3, dense_cutoff=0)
     assert it.lam == pytest.approx(dense.lam, abs=1e-7)
@@ -177,10 +183,11 @@ def test_preconditioner_is_exact_separable_inverse():
     # so the preconditioner inverts H - sigma I exactly, through the
     # operator's matmat for a block of columns and its matvec for a vector
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-    op = assemble(fr, _square(n=10, count=3), 0.2)
+    op = assemble(fr, square_grid(1.0, 10), 0.2)
     assert np.all(op.B == 1.0)
-    prec, (lam_sec, _) = direct_oracle._separable_preconditioner(op)
-    sigma = 0.9 * op.eps**-2.0 * lam_sec[0]  # the documented shift
+    prec = direct_oracle._separable_preconditioner(op)
+    lam_1 = scipy.linalg.eigvalsh(laplacian(op.grid).toarray())[0]
+    sigma = 0.9 * op.eps**-2.0 * lam_1  # the documented shift
     A = op.H - sigma * sp.identity(op.n, format="csr")
     X = np.cos(0.37 * np.arange(op.n * 4, dtype=float)).reshape(op.n, 4)
     assert np.abs(prec.matmat(A @ X) - X).max() < 1e-12
@@ -271,7 +278,7 @@ def test_compare_straight_rod_gaps_at_machine_level():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     spec = _square(n=10, count=3)
     eps = 0.2
-    op = assemble(fr, spec, eps)
+    op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 4)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2, 3)]
     rep = compare(sol, states, eps)
@@ -291,7 +298,7 @@ def test_compare_curved_twisted_rod_certifies():
     )
     spec = _square(n=10, center=(0.12, -0.07))
     eps = 0.1
-    op = assemble(fr, spec, eps)
+    op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 5)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2)]
     rep = compare(sol, states, eps)
@@ -311,7 +318,7 @@ def test_compare_twisted_straight_rod_small_gap():
     )
     spec = _square(n=10)
     eps = 0.1
-    op = assemble(fr, spec, eps)
+    op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=6)
     rep = compare(sol, [st], eps)
@@ -324,7 +331,7 @@ def test_compare_flags_ambiguous_pairing():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     spec = _square(n=10)
     eps = 0.2
-    op = assemble(fr, spec, eps)
+    op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=2)
     rep = compare(sol, [st, st], eps)
@@ -337,7 +344,7 @@ def test_compare_flags_ambiguous_pairing():
 def test_compare_rejects_mismatched_epsilon():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     spec = _square(n=10)
-    op = assemble(fr, spec, 0.2)
+    op = assemble(fr, spec.grid, 0.2)
     sol = solve_direct(op, 2)
     st = engine.run_recurrence(fr, spec, 1, 1, N=2)
     with pytest.raises(ValueError):
