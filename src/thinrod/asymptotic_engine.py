@@ -22,6 +22,17 @@ s-direction flux coefficients use the arithmetic mean of nodal q first
 and the power afterwards, matching the eps-Taylor expansion of the
 direct operator's 1/(1 - eps q_mid) coefficient term by term. Fields
 are (M_s, n_section) arrays on the full s-grid with zero end rows.
+
+Each step needs the coupling sum sum_{j=2}^{i+2} F_j psi_{i+2-j}.  The
+F_j with j >= 2 share one stencil and differ only by the weight
+c_j = q^(j-2), so the sum is one application of that stencil: the
+s-differences, the central differences and the R psi of the fields are
+Horner-summed in q (in q_mid for the flux), then differenced once and hit
+by R twice; R psi_k is computed once per finished field.  apply_Fj stays
+the single-j reference.  Structural zeros stay exact: where q == 0 each
+Horner step multiplies by an exact zero before adding the next field, so
+the sum is bit for bit F_2 applied to its first field, and the twist terms
+carry kappa3, an exact zero on an untwisted rod.
 """
 
 from __future__ import annotations
@@ -143,6 +154,53 @@ def apply_Fj(ctx: EngineContext, j: int, U: TensorField) -> TensorField:
     return out
 
 
+def _coupling_sum(ctx: EngineContext, U: list, RU: list) -> TensorField:
+    """sum_{j>=2} F_j U[j - 2], given RU[k] = R U[k] for every field.
+
+    The s-differences, central differences and R U of the fields are
+    Horner-summed in q in place, then differenced once and hit by R twice
+    (see the module docstring).  One field reproduces apply_Fj(ctx, 2, U[0])
+    bit for bit.
+    """
+    hs = ctx.frame.h
+    R = ctx.spectrum.ops.R
+    q = ctx.q
+    q_mid = 0.5 * (q[1:] + q[:-1])
+    q_int = q[1:-1]
+    k3 = ctx.frame.kappa3[:, None]
+
+    last = U[-1]
+    flux = last[1:] - last[:-1]
+    ds = last[2:] - last[:-2]
+    V = RU[-1].copy()
+    d = np.empty_like(last)  # scratch for the differences of one field
+    for u, ru in zip(U[-2::-1], RU[-2::-1]):
+        flux *= q_mid
+        flux += np.subtract(u[1:], u[:-1], out=d[:-1])
+        ds *= q_int
+        ds += np.subtract(u[2:], u[:-2], out=d[:-2])
+        V *= q
+        V += ru
+
+    # the four terms in apply_Fj's order, so one field gives its bits
+    out = np.zeros_like(last)
+    o = out[1:-1]
+    flux /= hs
+    np.subtract(flux[1:], flux[:-1], out=o)
+    o /= hs
+    ds /= 2 * hs
+    ds *= k3[1:-1]
+    o += _sec(R, ds)
+    RV = _sec(R, V[1:-1])
+    V *= k3
+    dW = np.subtract(V[2:], V[:-2], out=d[:-2])
+    dW /= 2 * hs
+    o += dW
+    RV *= (k3**2)[1:-1]
+    o += RV
+    return out
+
+
 def _ftilde(ctx: EngineContext, V: TensorField) -> TensorField:
     """F~ V = (1/2)(F_1 - lam_n q)(q V) + F_2 V."""
     return 0.5 * _f1_minus_lq(ctx, ctx.q * V) + apply_Fj(ctx, 2, V)
@@ -231,8 +289,11 @@ def run_recurrence(
     psi_tilde = np.zeros((N + 1, M_s, nw))
     psi = np.zeros((N + 1, M_s, nw))
     qphi = ctx.q * ctx.phi[None, :]
-    psi0 = Psi0[:, None] * ctx.phi[None, :]
-    psi[0] = psi0
+    psi[0] = Psi0[:, None] * ctx.phi[None, :]
+    psi0 = psi[0]
+    # R psi_k for k < N - 1, computed once and read by every later step
+    Rpsi = np.empty((N, M_s, nw))
+    Rpsi[0] = Psi0[:, None] * ctx.Rphi[None, :]
     defects = []
 
     h2 = ctx.spectrum.h**2
@@ -259,11 +320,14 @@ def run_recurrence(
                 spectrum, n, G[1:-1], noise_floor=g_scale
             )
 
-        # F~_{i+2}
+        # F~_{i+2}: F_2 takes psi_i without its Psi_i phi part (not known
+        # yet; _ftilde adds it next step), and the lambda terms fold into
+        # one q sum_{j=3}^{i+2} lambda_{j-3} psi_{i+2-j}
+        U2 = psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi
+        RU2 = _sec(ctx.spectrum.ops.R, U2)
         Ft = _f1_minus_lq(ctx, psi_tilde[i + 1])
-        Ft += apply_Fj(ctx, 2, psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi)
-        for j in range(3, i + 3):
-            Ft += apply_Fj(ctx, j, psi[i + 2 - j]) - lam_all[j - 1] * ctx.q * psi[i + 2 - j]
+        Ft += _coupling_sum(ctx, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
+        Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft
 
         # lambda_i from the two solvability sums
@@ -300,7 +364,9 @@ def run_recurrence(
             )
             Psi[i] = deflated_reduced_resolvent(ctx.reduced, md, rhs, noise_floor=r_scale)
 
-        psi[i] = psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi + Psi[i][:, None] * ctx.phi[None, :]
+        psi[i] = U2 + Psi[i][:, None] * ctx.phi[None, :]
+        if i < N - 1:
+            Rpsi[i] = RU2 + Psi[i][:, None] * ctx.Rphi[None, :]
 
     # truncation: Psi_N = 0
     psi[N] = psi_tilde[N] + 0.5 * Psi[N - 1][:, None] * qphi

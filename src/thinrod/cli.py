@@ -367,6 +367,28 @@ def _auto_count(cfg: RunConfig, spectrum) -> int:
     return top + 2
 
 
+def _check_section_size(cfg: RunConfig) -> None:
+    """Reject a direct solve the preconditioner would refuse, before any work.
+
+    A curved or twisted rod solved iteratively needs the dense section
+    eigenbasis, which stops at oracle._SPECTRAL_CUTOFF interior nodes; a
+    straight untwisted rod never applies it and solves at any size.
+    """
+    fr, nw = cfg.frame, cfg.grid.n_interior
+    cutoff = oracle._SPECTRAL_CUTOFF
+    curved_or_twisted = any(
+        np.abs(k).max() > 0 for k in (fr.kappa1, fr.kappa2, fr.kappa3)
+    )
+    iterative = (cfg.M_s - 2) * nw > cfg.solver["dense_cutoff"]
+    if curved_or_twisted and iterative and nw > cutoff:
+        raise ConfigError(
+            "section.n",
+            f"section has {nw} interior nodes, above the limit of {cutoff} "
+            "for the dense section eigenbasis a curved or twisted rod's "
+            "direct solve needs; lower section.n",
+        )
+
+
 def _verify_one_epsilon(cfg: RunConfig, eps: float, out_dir, K):
     op = oracle.assemble(cfg.frame, cfg.grid, eps)
     sol = oracle.solve_direct(
@@ -518,6 +540,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     """
     if not cfg.epsilons or len(cfg.epsilons) != 1:
         raise ConfigError("epsilon", "verify needs exactly one epsilon value")
+    _check_section_size(cfg)
     out_dir = Path(out_dir)
     eps = cfg.epsilons[0]
     spectrum = _solve_spectrum(cfg)
@@ -558,6 +581,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
     """
     if not cfg.epsilons or len(cfg.epsilons) < 2:
         raise ConfigError("epsilon", "sweep needs a list of at least two values")
+    _check_section_size(cfg)
     out_dir = Path(out_dir)
     spectrum = _solve_spectrum(cfg)
     states = _run_states(cfg, spectrum)

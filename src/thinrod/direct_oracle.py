@@ -39,7 +39,8 @@ inverse of the separable part (dense section eigenbasis times a sine
 transform along the axis, applied as matrix products).
 Sections with more than 4096 interior nodes are too large for the dense
 eigenbasis; their iterative solves raise SolverFail unless the separable
-start block is already converged.
+start block is already converged (the CLI rejects such curved or twisted
+rods before any solve).
 Small problems go through a dense solver directly.  Every requested pair
 must meet ``max(tol, 8 * eps_mach * ||H||_inf)`` in the B-scaled norm (tol
 is 1e-8 by default; the second term is the floating-point floor of the
@@ -48,6 +49,7 @@ residual), or the solve raises SolverFail with LOBPCG's residual history.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -440,7 +442,8 @@ def _separable_preconditioner(op: TransformedOperator):
     (symmetric, its own inverse), the transposed dense section eigenbasis,
     the diagonal scaling, and back.  The denominators are the rungs of the
     separable ladder, minus sigma.  Fully deterministic.  The dense basis
-    stays inside the returned LinearOperator.
+    stays inside the returned LinearOperator and is built on its first
+    apply, so a solve that never applies the operator skips the eigh.
 
     A section with more than _SPECTRAL_CUTOFF interior nodes gets no dense
     basis and an operator that raises SolverFail when applied.  A
@@ -458,18 +461,22 @@ def _separable_preconditioner(op: TransformedOperator):
             )
 
         return LinearOperator((op.n, op.n), matvec=refuse, dtype=float)
-    lam_sec, Phi = scipy.linalg.eigh(laplacian(op.grid).toarray())
-    PhiT = np.ascontiguousarray(Phi.T)
-    j = np.arange(1, ms + 1)
-    sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
-    sigma = 0.9 * op.eps**-2.0 * lam_sec[0]
-    inv_denom = 1.0 / (
-        op.eps**-2.0 * lam_sec[:, None]
-        + _axial_eigenvalues(op.frame, ms)[None, :]
-        - sigma
-    )  # (n_omega, ms)
+
+    @functools.cache
+    def basis():
+        lam_sec, Phi = scipy.linalg.eigh(laplacian(op.grid).toarray())
+        j = np.arange(1, ms + 1)
+        sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
+        sigma = 0.9 * op.eps**-2.0 * lam_sec[0]
+        inv_denom = 1.0 / (
+            op.eps**-2.0 * lam_sec[:, None]
+            + _axial_eigenvalues(op.frame, ms)[None, :]
+            - sigma
+        )  # (n_omega, ms)
+        return sine, Phi, np.ascontiguousarray(Phi.T), inv_denom
 
     def apply(X):
+        sine, Phi, PhiT, inv_denom = basis()
         k = X.size // op.n
         U = sine @ X.reshape(ms, nw * k)
         U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)

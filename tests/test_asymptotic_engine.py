@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from thinrod.asymptotic_engine import (
+    _coupling_sum,
+    _sec,
     apply_Fj,
     build_context,
     check_epsilon,
@@ -85,6 +87,24 @@ def test_apply_Fj_symmetric(j):
     b = w * np.sum(U * apply_Fj(ctx, j, V))
     scale = w * np.sqrt(np.sum(U**2) * np.sum(V**2))
     assert abs(a - b) < 1e-10 * max(scale, abs(a))
+
+
+def test_coupling_sum_equals_sum_of_apply_Fj():
+    # the Horner-summed couplings j = 2..7 against the single-j reference
+    ctx = _helix_ctx()
+    assert np.abs(ctx.q).max() > 0 and np.abs(ctx.frame.kappa3).max() > 0
+    U = [_rand_field(ctx, 100 + j) for j in range(2, 8)]
+    RU = [_sec(ctx.spectrum.ops.R, u) for u in U]
+    got = _coupling_sum(ctx, U, RU)
+    want = sum(apply_Fj(ctx, j, u) for j, u in zip(range(2, 8), U))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_coupling_sum_one_term_is_apply_F2():
+    ctx = _helix_ctx()
+    U = _rand_field(ctx, 7)
+    got = _coupling_sum(ctx, [U], [_sec(ctx.spectrum.ops.R, U)])
+    assert np.array_equal(got, apply_Fj(ctx, 2, U))
 
 
 def test_F2_no_twist_is_s_laplacian_on_profiles():

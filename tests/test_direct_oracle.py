@@ -197,6 +197,36 @@ def test_preconditioner_is_exact_separable_inverse():
     assert np.abs(y - x).max() < 1e-12
 
 
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
+    # the separable start block is exact on a straight untwisted rod, so
+    # LOBPCG never applies the preconditioner and its dense basis is never built
+    calls = _count_eigh(monkeypatch)
+    fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
+    op = assemble(fr, square_grid(1.0, 10), 0.2)
+    sol = solve_direct(op, 3, dense_cutoff=0)
+    assert [h["stage"] for h in sol.history] == ["lobpcg"]
+    assert calls == []
+
+
+def test_curved_solve_builds_section_basis_once(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    solve_direct(op, 3, dense_cutoff=0)
+    assert calls == [(op.n_omega, op.n_omega)]
+
+
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
     op = _helix_op(eps=0.2, n=10, M_s=20)
     monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
