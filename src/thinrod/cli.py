@@ -337,16 +337,17 @@ def _solve_spectrum(cfg: RunConfig):
     return solve_section(cfg.grid, count)
 
 
+def _run_mode(cfg: RunConfig, spectrum, n: int, m: int):
+    try:
+        return engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
+    except ThinRodError as e:
+        if hasattr(e, "add_note"):
+            e.add_note(f"while expanding mode (n={n}, m={m})")
+        raise
+
+
 def _run_states(cfg: RunConfig, spectrum):
-    states = []
-    for n, m in cfg.modes:
-        try:
-            states.append(engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order))
-        except ThinRodError as e:
-            if hasattr(e, "add_note"):
-                e.add_note(f"while expanding mode (n={n}, m={m})")
-            raise
-    return states
+    return [_run_mode(cfg, spectrum, n, m) for n, m in cfg.modes]
 
 
 def _auto_count(cfg: RunConfig, spectrum) -> int:
@@ -477,10 +478,10 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
     """
     out_dir = Path(out_dir)
     spectrum = _solve_spectrum(cfg)
-    states = _run_states(cfg, spectrum)
     lines = [_EXPAND_HEADER]
     sidecar_modes = []
-    for st in states:
+    for n, m in cfg.modes:
+        st = _run_mode(cfg, spectrum, n, m)
         for i in range(-2, st.N - 1):
             lines.append(f"{st.n},{st.m},{i},{_f17(st.lam_i(i))}")
         k = st.n - 1
@@ -509,6 +510,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
                 "solve_defects": [[label, float(v)] for label, v in st.solve_defects],
             }
         )
+        del st  # one mode's fields (psi, psi_tilde) alive at a time
     sidecar = {
         "command": "expand",
         "config": cfg.raw,

@@ -217,6 +217,7 @@ def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
     op = assemble(fr, square_grid(1.0, 10), 0.2)
     sol = solve_direct(op, 3, dense_cutoff=0)
     assert [h["stage"] for h in sol.history] == ["lobpcg"]
+    assert sol.history[0]["prec_applies"] == 0
     assert calls == []
 
 
@@ -225,6 +226,31 @@ def test_curved_solve_builds_section_basis_once(monkeypatch):
     op = _helix_op(eps=0.2, n=10, M_s=20)
     solve_direct(op, 3, dense_cutoff=0)
     assert calls == [(op.n_omega, op.n_omega)]
+
+
+def test_curved_solve_reports_its_iterations():
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    sol = solve_direct(op, 3, dense_cutoff=0)
+    (stage,) = sol.history
+    assert stage["iterations"] > 0
+    assert stage["prec_applies"] == stage["iterations"]
+    assert stage["h_applies"] == stage["iterations"] + 1
+    # one entry for the start block and one per iteration
+    assert len(stage["residual_history"]) == stage["iterations"] + 1
+    assert "warnings" not in stage
+
+
+def test_solve_stops_when_requested_pairs_converge():
+    # only the K requested pairs must meet the target; the guards are
+    # carried along and the top one stops well short of it (measured:
+    # ritz_all[-1] - window_guard = 2.8e-6, 280 times the 1e-8 target)
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    target = max(1e-8, 8 * np.finfo(float).eps * np.abs(op.H).sum(axis=1).max())
+    dense = solve_direct(op, 3)
+    sol = solve_direct(op, 3, dense_cutoff=0)
+    assert np.all(sol.residuals <= target)
+    assert sol.lam == pytest.approx(dense.lam, abs=1e-7)
+    assert sol.ritz_all[-1] - sol.window_guard > target
 
 
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
