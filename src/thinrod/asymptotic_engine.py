@@ -57,10 +57,18 @@ TensorField = np.ndarray  # (M_s, n_interior) values, zero rows at s = 0, s0
 N_MAX_DEFAULT = 6
 
 
+def _tilt(frame: FrameField, grid) -> TensorField:
+    """Nodal q = kappa1 xi2 - kappa2 xi3, the one definition shared by the
+    recurrence, the assembled pencil and the CLI's epsilon check."""
+    return (
+        frame.kappa1[:, None] * grid.xi2[None, :]
+        - frame.kappa2[:, None] * grid.xi3[None, :]
+    )
+
+
 def q_field(frame: FrameField, spectrum: SectionSpectrum, n: int = 1):
     """Nodal q = kappa1 xi2 - kappa2 xi3 and its mode moment q_n(s)."""
-    g = spectrum.grid
-    q = frame.kappa1[:, None] * g.xi2[None, :] - frame.kappa2[:, None] * g.xi3[None, :]
+    q = _tilt(frame, spectrum.grid)
     q_n = frame.kappa1 * spectrum.m2[n - 1] - frame.kappa2 * spectrum.m3[n - 1]
     return q, q_n
 

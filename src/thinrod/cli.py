@@ -36,9 +36,12 @@ Config schema (unknown fields are rejected, naming the offending path):
       "rng_free": true  (informational; anything else is rejected)
     }
 
-Per-epsilon solves run one after another (each already keeps the BLAS
-threads busy); comparison, checks, and all file writing follow in a fixed
-order.
+`verify` and `sweep` run one certification loop.  The section solve, the
+recurrences and the eigenpair count are computed once; then each epsilon,
+in order (a sweep goes from the largest down), is assembled, solved,
+optionally dumped and compared with the expansion before the next one
+starts, and its operator and solution are released once its rows exist.
+All result files are written at the end.
 """
 
 from __future__ import annotations
@@ -279,10 +282,7 @@ def parse_config(path) -> RunConfig:
             f"expected 0 (auto) or 1 to {unknowns - 1} for {unknowns} unknowns",
         )
     if epsilons:
-        q = (
-            frame.kappa1[:, None] * grid.xi2[None, :]
-            - frame.kappa2[:, None] * grid.xi3[None, :]
-        )
+        q = engine._tilt(frame, grid)
         for v in epsilons:
             try:
                 engine.check_epsilon(q, v)
@@ -317,19 +317,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_spectrum(cfg: RunConfig):
@@ -357,62 +345,10 @@ def _auto_count(cfg: RunConfig, spectrum) -> int:
     surrogate = oracle.separable_ladder(
         cfg.frame, spectrum.lam, min(cfg.epsilons), cfg.M_s - 2
     )
-    top = 0
-    for n, m in cfg.modes:
-        for rank, (_, kn, km) in enumerate(surrogate):
-            if (kn, km) == (n, m):
-                top = max(top, rank + 1)
-                break
-        else:
-            raise ConfigError("modes", f"mode ({n}, {m}) beyond the resolvable window")
+    # every configured mode is a rung: the recurrence refuses m >= M_s - 2
+    rank = {(n, m): k for k, (_, n, m) in enumerate(surrogate)}
+    top = 1 + max(rank[nm] for nm in cfg.modes)
     return top + 2
-
-
-def _check_section_size(cfg: RunConfig) -> None:
-    """Reject a direct solve the preconditioner would refuse, before any work.
-
-    A curved or twisted rod solved iteratively needs the dense section
-    eigenbasis, which stops at oracle._SPECTRAL_CUTOFF interior nodes; a
-    straight untwisted rod never applies it and solves at any size.
-    """
-    fr, nw = cfg.frame, cfg.grid.n_interior
-    cutoff = oracle._SPECTRAL_CUTOFF
-    curved_or_twisted = any(
-        np.abs(k).max() > 0 for k in (fr.kappa1, fr.kappa2, fr.kappa3)
-    )
-    iterative = (cfg.M_s - 2) * nw > cfg.solver["dense_cutoff"]
-    if curved_or_twisted and iterative and nw > cutoff:
-        raise ConfigError(
-            "section.n",
-            f"section has {nw} interior nodes, above the limit of {cutoff} "
-            "for the dense section eigenbasis a curved or twisted rod's "
-            "direct solve needs; lower section.n",
-        )
-
-
-def _verify_one_epsilon(cfg: RunConfig, eps: float, out_dir, K):
-    op = oracle.assemble(cfg.frame, cfg.grid, eps)
-    sol = oracle.solve_direct(
-        op,
-        K,
-        tol=cfg.solver["tol"],
-        dense_cutoff=cfg.solver["dense_cutoff"],
-        maxiter=cfg.solver["maxiter"],
-    )
-    if cfg.dump_matrix:
-        oracle.dump_matrix(op, Path(out_dir) / f"{cfg.prefix}_H_eps{eps:g}.mtx")
-    return sol
-
-
-def _report_rows(sol, states, eps):
-    captured = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = oracle.compare(sol, states, eps)
-    for c in caught:
-        if issubclass(c.category, UnderresolvedWindow):
-            captured.append(str(c.message))
-    return rep, captured
 
 
 def _row_failures(eps, rep):
@@ -500,9 +436,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
                     "a3": float(spectrum.a3[k]),
                 },
                 "gaps": {
-                    "section": float(spectrum.lam[k + 1] - spectrum.lam[k])
-                    if k + 1 < spectrum.count
-                    else None,
+                    "section": float(spectrum.lam[k + 1] - spectrum.lam[k]),
                     "reduced": float(lam0_next - st.lam0),
                 },
                 "lambda_diag": float(st.lam_diag),
@@ -534,6 +468,69 @@ def _grid_metadata(cfg: RunConfig) -> dict:
     }
 
 
+def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
+    """The certification loop verify and sweep share (see the module notes).
+
+    Returns the CSV lines and the report entries `eigenpairs_computed`,
+    `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
+    """
+    try:
+        oracle._check_section_size(cfg.frame, cfg.grid, cfg.solver["dense_cutoff"])
+    except SolverFail as e:
+        raise ConfigError("section.n", str(e)) from e
+    spectrum = _solve_spectrum(cfg)
+    states = _run_states(cfg, spectrum)
+    K = _auto_count(cfg, spectrum)
+    lines = [_VERIFY_HEADER]
+    rows, failures, window_warnings = [], [], []
+    for eps in eps_list:
+        op = oracle.assemble(cfg.frame, cfg.grid, eps)
+        sol = oracle.solve_direct(
+            op,
+            K,
+            tol=cfg.solver["tol"],
+            dense_cutoff=cfg.solver["dense_cutoff"],
+            maxiter=cfg.solver["maxiter"],
+        )
+        if cfg.dump_matrix:
+            oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps:g}.mtx")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = oracle.compare(sol, states, eps)
+        del op, sol  # free this eps's pencil and eigenvectors before the next
+        for c in caught:
+            if issubclass(c.category, UnderresolvedWindow):
+                window_warnings.append(str(c.message))
+        failures.extend(_row_failures(eps, rep))
+        for r in rep.rows:
+            lines.append(_csv_line(eps, r))
+            rows.append(_row_json(eps, r))
+    entries = {
+        "eigenpairs_computed": K,
+        "rows": rows,
+        "warnings": window_warnings,
+        "failures": failures,
+    }
+    return lines, entries
+
+
+def _write_report(
+    cfg: RunConfig, out_dir: Path, command: str, lines, entries, **extra
+) -> list:
+    """Write `<prefix>_<command>.csv` and its JSON report; return the failures."""
+    report = {
+        "command": command,
+        "config": cfg.raw,
+        "grid": _grid_metadata(cfg),
+        **entries,
+        **extra,
+        "ok": not entries["failures"],
+    }
+    _write_text(out_dir / f"{cfg.prefix}_{command}.csv", "\n".join(lines) + "\n")
+    _write_json(out_dir / f"{cfg.prefix}_{command}.json", report)
+    return report["failures"]
+
+
 def cmd_verify(cfg: RunConfig, out_dir) -> list:
     """Single-epsilon comparison of the expansion against the direct solve.
 
@@ -542,29 +539,9 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     """
     if not cfg.epsilons or len(cfg.epsilons) != 1:
         raise ConfigError("epsilon", "verify needs exactly one epsilon value")
-    _check_section_size(cfg)
     out_dir = Path(out_dir)
-    eps = cfg.epsilons[0]
-    spectrum = _solve_spectrum(cfg)
-    states = _run_states(cfg, spectrum)
-    K = _auto_count(cfg, spectrum)
-    sol = _verify_one_epsilon(cfg, eps, out_dir, K)
-    rep, window_warnings = _report_rows(sol, states, eps)
-    failures = _row_failures(eps, rep)
-    lines = [_VERIFY_HEADER] + [_csv_line(eps, r) for r in rep.rows]
-    report = {
-        "command": "verify",
-        "config": cfg.raw,
-        "grid": _grid_metadata(cfg),
-        "eigenpairs_computed": K,
-        "rows": [_row_json(eps, r) for r in rep.rows],
-        "warnings": window_warnings,
-        "failures": failures,
-        "ok": not failures,
-    }
-    _write_text(out_dir / f"{cfg.prefix}_verify.csv", "\n".join(lines) + "\n")
-    _write_json(out_dir / f"{cfg.prefix}_verify.json", report)
-    return failures
+    lines, entries = _certify(cfg, out_dir, cfg.epsilons)
+    return _write_report(cfg, out_dir, "verify", lines, entries)
 
 
 def _fit_slope(eps_list, values):
@@ -576,39 +553,25 @@ def _fit_slope(eps_list, values):
 def cmd_sweep(cfg: RunConfig, out_dir) -> list:
     """Epsilon sweep: per-epsilon comparison tables plus fitted rates.
 
-    Needs at least two epsilon values.  Fits log-log slopes of the
-    eigenvalue gap and of the residual certificate per mode; slopes are
-    reported as null when the gaps sit at solver noise (a terminating
-    expansion leaves nothing to fit).  Returns the failure list.
+    Needs at least two epsilon values, solved from the largest down.  Fits
+    log-log slopes of the eigenvalue gap and of the residual certificate
+    per mode; slopes are reported as null when the gaps sit at solver noise
+    (a terminating expansion leaves nothing to fit).  Returns the failure
+    list.
     """
     if not cfg.epsilons or len(cfg.epsilons) < 2:
         raise ConfigError("epsilon", "sweep needs a list of at least two values")
-    _check_section_size(cfg)
     out_dir = Path(out_dir)
-    spectrum = _solve_spectrum(cfg)
-    states = _run_states(cfg, spectrum)
-    K = _auto_count(cfg, spectrum)
     eps_order = sorted(cfg.epsilons, reverse=True)
+    lines, entries = _certify(cfg, out_dir, eps_order)
+    rows, failures = entries["rows"], entries["failures"]
 
-    sols = [_verify_one_epsilon(cfg, e, out_dir, K) for e in eps_order]
-
-    lines = [_VERIFY_HEADER]
-    rows_json, failures, window_warnings = [], [], []
-    reports = []
-    for eps, sol in zip(eps_order, sols):
-        rep, caught = _report_rows(sol, states, eps)
-        window_warnings.extend(caught)
-        failures.extend(_row_failures(eps, rep))
-        for r in rep.rows:
-            lines.append(_csv_line(eps, r))
-            rows_json.append(_row_json(eps, r))
-        reports.append(rep)
-
-    noise = 1e-9 * max(abs(r.lambda_direct) for rep in reports for r in rep.rows)
+    noise = 1e-9 * max(abs(r["lambda_direct"]) for r in rows)
     slopes = {}
     for idx, (n, m) in enumerate(cfg.modes):
-        gaps = [rep.rows[idx].abs_gap for rep in reports]
-        rhos = [rep.rows[idx].rho for rep in reports]
+        mode_rows = rows[idx :: len(cfg.modes)]  # one row per eps, in eps_order
+        gaps = [r["abs_gap"] for r in mode_rows]
+        rhos = [r["residual_rho"] for r in mode_rows]
         gap_slope = None if min(gaps) <= noise else _fit_slope(eps_order, gaps)
         rho_slope = None if min(rhos) <= noise else _fit_slope(eps_order, rhos)
         slopes[f"n{n}_m{m}"] = {"gap": gap_slope, "rho": rho_slope}
@@ -625,22 +588,10 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
                 {"kind": "rate", "n": n, "m": m, "slope": rho_slope,
                  "message": "residual certificate rate below threshold"}
             )
-
-    report = {
-        "command": "sweep",
-        "config": cfg.raw,
-        "grid": _grid_metadata(cfg),
-        "eigenpairs_computed": K,
-        "rows": rows_json,
-        "slopes": slopes,
-        "thresholds": cfg.thresholds,
-        "warnings": window_warnings,
-        "failures": failures,
-        "ok": not failures,
-    }
-    _write_text(out_dir / f"{cfg.prefix}_sweep.csv", "\n".join(lines) + "\n")
-    _write_json(out_dir / f"{cfg.prefix}_sweep.json", report)
-    return failures
+    return _write_report(
+        cfg, out_dir, "sweep", lines, entries,
+        slopes=slopes, thresholds=cfg.thresholds,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -820,7 +771,7 @@ def main(argv=None) -> int:
     except ThinRodError as e:
         failure = {"kind": type(e).__name__, "message": str(e)}
         if isinstance(e, SolverFail):
-            failure["history"] = _jsonable(e.history)
+            failure["history"] = e.history
         print(json.dumps({"failures": [failure]}))
         return 2
     except Exception as e:  # noqa: BLE001 - exit 1 is reserved for failed checks
@@ -830,7 +781,7 @@ def main(argv=None) -> int:
         return 2
 
     if failures:
-        print(json.dumps({"failures": _jsonable(failures)}))
+        print(json.dumps({"failures": failures}))
         return 1
     print(json.dumps({"failures": []}))
     return 0

@@ -41,9 +41,10 @@ products).  The run stops as soon as the K requested pairs reach a quarter
 of the target below; the guard columns beyond K only set the window edge
 and are not required to converge.
 Sections with more than 4096 interior nodes are too large for the dense
-eigenbasis; their iterative solves raise SolverFail unless the separable
-start block is already converged (the CLI rejects such curved or twisted
-rods before any solve).
+eigenbasis: the iterative solve of a curved or twisted rod on such a section
+raises SolverFail before it starts (:func:`_check_section_size`, which the
+CLI also runs before any work), and a straight untwisted rod solves at any
+size because its separable start block is already converged.
 Small problems go through a dense solver directly.  Every requested pair
 must meet ``max(tol, 8 * eps_mach * ||H||_inf)`` in the B-scaled norm (tol
 is 1e-8 by default; the second term is the floating-point floor of the
@@ -63,7 +64,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from . import asymptotic_engine as engine
 from .cross_section import SectionGrid, build_operators, laplacian, solve_section
-from .errors import PairingAmbiguous, SolverFail, UnderresolvedWindow
+from .errors import SolverFail, UnderresolvedWindow
 from .geometry import FrameField
 
 __all__ = [
@@ -100,9 +101,9 @@ class CoefficientTable:
     Arrays have shape (M_s, n_omega); indices 1,2,3 refer to the s, xi2,
     xi3 derivatives scaled as (d_s, eps^-1 d_2, eps^-1 d_3).  The table is
     symmetric positive definite wherever p > 0 (its leading minors are
-    1/p, 1 and p).  The stencil samples A11 at s-edge midpoints
-    (``A11_smid``), the transverse weight p at section-edge midpoints, and
-    the twist couplings at nodes.
+    1/p, 1 and p).  The stencil samples A11 at s-edge midpoints, the
+    transverse weight p at section-edge midpoints, and the twist couplings
+    at nodes.
     """
 
     A11: np.ndarray
@@ -111,7 +112,6 @@ class CoefficientTable:
     A22: np.ndarray
     A23: np.ndarray
     A33: np.ndarray
-    A11_smid: np.ndarray
     p: np.ndarray
 
 
@@ -125,7 +125,6 @@ class TransformedOperator:
     H: sp.csr_matrix
     B: np.ndarray  # diagonal of the weight matrix, interior tensor nodes
     q: np.ndarray  # full-grid (M_s, n_omega) tilt field
-    A11_smid: np.ndarray  # (M_s - 1, n_omega) s-edge flux coefficient
 
     @property
     def M_s(self) -> int:
@@ -157,7 +156,6 @@ class TransformedOperator:
             A22=p + (eps * k3 * xi3) ** 2 * pinv,
             A23=-((eps * k3) ** 2) * xi2 * xi3 * pinv,
             A33=p + (eps * k3 * xi2) ** 2 * pinv,
-            A11_smid=self.A11_smid,
             p=p,
         )
 
@@ -188,7 +186,7 @@ def assemble(frame: FrameField, grid: SectionGrid, eps: float) -> TransformedOpe
     """
     ops = build_operators(grid)
     k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
-    q = k1[:, None] * grid.xi2[None, :] - k2[:, None] * grid.xi3[None, :]
+    q = engine._tilt(frame, grid)
     engine.check_epsilon(q, eps)
 
     M_s, n_omega = frame.s_grid.size, grid.n_interior
@@ -248,7 +246,6 @@ def assemble(frame: FrameField, grid: SectionGrid, eps: float) -> TransformedOpe
         H=H,
         B=B,
         q=q,
-        A11_smid=c_s,
     )
 
 
@@ -416,6 +413,27 @@ def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
 _SPECTRAL_CUTOFF = 4096
 
 
+def _section_too_large(nw: int) -> SolverFail:
+    return SolverFail(
+        f"section has {nw} interior nodes, above the limit of "
+        f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis a curved or "
+        "twisted rod's direct solve needs; lower section.n"
+    )
+
+
+def _check_section_size(frame: FrameField, grid: SectionGrid, dense_cutoff: int):
+    """Raise SolverFail if the solve would need a dense section basis above
+    _SPECTRAL_CUTOFF interior nodes: only the iterative solve (more than
+    `dense_cutoff` unknowns) of a curved or twisted rod applies it."""
+    nw = grid.n_interior
+    curved_or_twisted = any(
+        np.abs(k).max() > 0 for k in (frame.kappa1, frame.kappa2, frame.kappa3)
+    )
+    iterative = (frame.s_grid.size - 2) * nw > dense_cutoff
+    if curved_or_twisted and iterative and nw > _SPECTRAL_CUTOFF:
+        raise _section_too_large(nw)
+
+
 def _separable_preconditioner(op: TransformedOperator):
     """Exact shifted inverse of the separable part of the pencil.
 
@@ -429,27 +447,17 @@ def _separable_preconditioner(op: TransformedOperator):
     the diagonal scaling, and back.  The denominators are the rungs of the
     separable ladder, minus sigma.  Fully deterministic.  The dense basis
     stays inside the returned LinearOperator and is built on its first
-    apply, so a solve that never applies the operator skips the eigh.
-
-    A section with more than _SPECTRAL_CUTOFF interior nodes gets no dense
-    basis and an operator that raises SolverFail when applied.  A
-    solve whose separable start block is already converged never applies
-    it (the straight untwisted rod); any other solve fails with that error.
+    apply, so a solve that never applies the operator skips the eigh (the
+    straight untwisted rod, whose start block is already converged).  On a
+    section with more than _SPECTRAL_CUTOFF interior nodes that first
+    apply raises the SolverFail of :func:`_check_section_size` instead.
     """
     ms, nw = op.M_s - 2, op.n_omega
-    if nw > _SPECTRAL_CUTOFF:
-
-        def refuse(X):
-            raise SolverFail(
-                f"section has {nw} interior nodes, above the limit of "
-                f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis of the "
-                "preconditioner; lower section.n"
-            )
-
-        return LinearOperator((op.n, op.n), matvec=refuse, dtype=float)
 
     @functools.cache
     def basis():
+        if nw > _SPECTRAL_CUTOFF:
+            raise _section_too_large(nw)
         lam_sec, Phi = scipy.linalg.eigh(laplacian(op.grid).toarray())
         j = np.arange(1, ms + 1)
         sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
@@ -583,6 +591,7 @@ def solve_direct(
     n = op.n
     if K > n - 1:
         raise ValueError(f"K = {K} too large for {n} unknowns")
+    _check_section_size(op.frame, op.grid, dense_cutoff)
     H, Bd = op.H, op.B
     hnorm = float(np.abs(H).sum(axis=1).max())
     target = max(tol, 8 * _MACH * hnorm)
@@ -703,16 +712,16 @@ class CompareReport:
         )
 
 
-def compare(
-    solution: DirectSolution, states, eps: float, *, strict: bool = False
-) -> CompareReport:
+def compare(solution: DirectSolution, states, eps: float) -> CompareReport:
     """Pair expansion partial sums with the direct eigenpairs.
 
-    Each expansion state contributes one row: its truncated eigenvalue is
-    matched to the nearest computed eigenvalue, the eigenfunction alignment
-    is measured as sin of the B-weighted angle, and the residual certificate
-    is evaluated.  Non-injective matching marks the report ambiguous (and
-    raises PairingAmbiguous when strict=True); the run continues either way.
+    Each expansion state contributes one row, in the order given: its
+    partial sum at `eps` is matched to the nearest computed eigenvalue, the
+    eigenfunction alignment is measured as sin of the B-weighted angle, and
+    the residual certificate is evaluated (it warns UnderresolvedWindow
+    when the computed window cannot certify the row).  Non-injective
+    matching adds the flag "pairing" to every row involved and marks the
+    report ambiguous; nothing is raised, the caller decides what fails.
     """
     op = solution.op
     if abs(eps - op.eps) > 0:
@@ -753,11 +762,6 @@ def compare(
             taken[r.match_index].flags.append("pairing")
         else:
             taken[r.match_index] = r
-    if ambiguous and strict:
-        dup = [r.match_index for r in rows if "pairing" in r.flags]
-        raise PairingAmbiguous(
-            f"direct eigenvalues {sorted(set(dup))} claimed by several modes"
-        )
     return CompareReport(eps=float(eps), rows=rows, ambiguous=ambiguous)
 
 

@@ -53,9 +53,5 @@ class ConfigError(ThinRodError):
         self.path = path
 
 
-class PairingAmbiguous(ThinRodError):
-    """Nearest-eigenvalue matching was not injective."""
-
-
 class UnderresolvedWindow(UserWarning):
     """Fewer direct eigenpairs computed than expansion modes requested."""

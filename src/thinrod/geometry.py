@@ -229,10 +229,6 @@ class _SampledCurve:
         if self.s0 <= 0:
             raise InvalidCurve("curve too short")
         self._t_of_s = PchipInterpolator(s_of_t, tq)
-        # tau / tau' sampled on the fine grid, filled in by build_frame
-        self._fine_s = None
-        self._fine_tau = None
-        self._fine_taup = None
 
     def r(self, s):
         return self._p(self._t_of_s(np.atleast_1d(s)))

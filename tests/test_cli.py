@@ -177,16 +177,47 @@ def test_expand_sidecar_has_section_data(tmp_path):
     assert mode["max_solve_defect"] < 1e-10
 
 
-def test_expand_reruns_are_byte_identical(tmp_path):
-    path = write_config(tmp_path, base=HELIX)
+@pytest.mark.parametrize(
+    "command, epsilon",
+    [("expand", None), ("verify", 0.2), ("sweep", [0.2, 0.1])],
+    ids=["expand", "verify", "sweep"],
+)
+def test_reruns_are_byte_identical(tmp_path, command, epsilon):
+    path = write_config(tmp_path, {"epsilon": epsilon}, base=HELIX)
     blobs = []
     for sub in ("one", "two"):
-        cli.cmd_expand(cli.parse_config(path), tmp_path / sub)
-        blobs.append(
-            (tmp_path / sub / "thinrod_coefficients.csv").read_bytes()
-            + (tmp_path / sub / "thinrod_expand.json").read_bytes()
-        )
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / sub)])
+        assert code == 0
+        files = sorted((tmp_path / sub).iterdir())
+        assert len(files) == 2  # the CSV table and its JSON sidecar
+        blobs.append([(f.name, f.read_bytes()) for f in files])
     assert blobs[0] == blobs[1]
+
+
+def test_expand_sampled_curve_with_tabulated_twist(tmp_path, capsys):
+    # a sampled space curve with one twist angle per axial node
+    base = {
+        "curve": {
+            "kind": "sampled",
+            "points": [[0.0, 0.0, 0.0], [0.5, 0.1, 0.0], [1.0, 0.3, 0.05],
+                       [1.5, 0.6, 0.1], [2.0, 1.0, 0.2]],
+            "twist": "tabulated",
+            "twist_values": [0.01 * k for k in range(20)],
+        },
+        "section": {"kind": "square", "side": 1.0, "n": 8},
+        "M_s": 20,
+        "order": 3,
+    }
+    path = write_config(tmp_path, base=base)
+    code, payload = run_main(
+        ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    lines = (tmp_path / "thinrod_coefficients.csv").read_text().splitlines()
+    assert lines[0] == "n,m,i,lambda_i"
+    assert float(lines[1].split(",")[3]) > 0
+    assert lines[2] == "1,1,-1,0"
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -276,6 +307,23 @@ def test_sweep_straight_slopes_are_null(tmp_path):
     assert report["ok"] is True
     for fit in report["slopes"].values():
         assert fit["gap"] is None
+
+
+def test_verify_rows_equal_the_sweep_rows_at_the_same_epsilon(tmp_path):
+    # with a fixed eigenpair count both commands run the same solve and
+    # comparison at eps = 0.2, so their rows agree byte for byte
+    overrides = {"solver": {"count": 3}, "modes": [[1, 1], [1, 2]]}
+    cli.cmd_verify(cli.parse_config(write_config(
+        tmp_path, {**overrides, "epsilon": 0.2}, base=HELIX)), tmp_path)
+    cli.cmd_sweep(cli.parse_config(write_config(
+        tmp_path, {**overrides, "epsilon": [0.2, 0.1]}, base=HELIX)), tmp_path)
+    verify_csv = (tmp_path / "thinrod_verify.csv").read_text().splitlines()
+    sweep_csv = (tmp_path / "thinrod_sweep.csv").read_text().splitlines()
+    assert len(verify_csv) == 3
+    assert sweep_csv[:3] == verify_csv
+    verify = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    sweep = json.loads((tmp_path / "thinrod_sweep.json").read_text())
+    assert [r for r in sweep["rows"] if r["eps"] == 0.2] == verify["rows"]
 
 
 def test_sweep_helix_fits_second_order_rate(tmp_path):
@@ -450,13 +498,22 @@ def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
     assert report["ok"] is False
 
 
-def test_main_exit_one_on_rate_outside_thresholds(tmp_path, capsys):
-    # the helix gap decays at about eps^2; demanding a slope of at least 3
-    # completes the sweep and reports the rate failure
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [
+        ({"slope_min": 3.0, "slope_max": 4.0},
+         "eigenvalue gap rate outside configured window"),
+        ({"rho_slope_min": 3.0}, "residual certificate rate below threshold"),
+    ],
+    ids=["gap", "rho"],
+)
+def test_main_exit_one_on_rate_outside_thresholds(
+    tmp_path, capsys, thresholds, message
+):
+    # the helix gap and certificate decay at about eps^2; demanding a slope
+    # of at least 3 completes the sweep and reports the rate failure
     path = write_config(
-        tmp_path,
-        {"epsilon": [0.2, 0.1], "thresholds": {"slope_min": 3.0, "slope_max": 4.0}},
-        base=HELIX,
+        tmp_path, {"epsilon": [0.2, 0.1], "thresholds": thresholds}, base=HELIX
     )
     code, payload = run_main(
         ["sweep", "--config", str(path), "--out", str(tmp_path)], capsys
@@ -464,6 +521,7 @@ def test_main_exit_one_on_rate_outside_thresholds(tmp_path, capsys):
     assert code == 1
     (failure,) = payload["failures"]
     assert failure["kind"] == "rate"
+    assert failure["message"] == message
     assert (failure["n"], failure["m"]) == (1, 1)
     assert failure["slope"] < 3.0
     report = json.loads((tmp_path / "thinrod_sweep.json").read_text())

@@ -28,7 +28,6 @@ from thinrod.direct_oracle import (
 )
 from thinrod.errors import (
     EpsilonOutOfRange,
-    PairingAmbiguous,
     SolverFail,
     UnderresolvedWindow,
 )
@@ -261,6 +260,15 @@ def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
         solve_direct(op, 3, dense_cutoff=0)
 
 
+def test_preconditioner_above_spectral_cutoff_refuses_on_first_apply(monkeypatch):
+    # building the operator is free; only applying it would need the basis
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
+    prec = direct_oracle._separable_preconditioner(op)
+    with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
+        prec @ np.ones(op.n)
+
+
 def test_lobpcg_short_of_target_raises_solver_fail_with_history():
     # one LOBPCG iteration cannot reach the target; the failure carries the
     # per-iteration residual history instead of accepting a looser limit
@@ -393,8 +401,6 @@ def test_compare_flags_ambiguous_pairing():
     rep = compare(sol, [st, st], eps)
     assert rep.ambiguous and not rep.ok
     assert all("pairing" in r.flags for r in rep.rows)
-    with pytest.raises(PairingAmbiguous):
-        compare(sol, [st, st], eps, strict=True)
 
 
 def test_compare_rejects_mismatched_epsilon():
