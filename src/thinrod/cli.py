@@ -329,8 +329,10 @@ def _run_mode(cfg: RunConfig, spectrum, n: int, m: int):
     try:
         return engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
     except ThinRodError as e:
-        if hasattr(e, "add_note"):
-            e.add_note(f"while expanding mode (n={n}, m={m})")
+        # add_note's effect, also on Python 3.10; main prints the notes
+        e.__notes__ = [
+            *getattr(e, "__notes__", []), f"while expanding mode (n={n}, m={m})"
+        ]
         raise
 
 
@@ -493,6 +495,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
             maxiter=cfg.solver["maxiter"],
         )
         if cfg.dump_matrix:
+            out_dir.mkdir(parents=True, exist_ok=True)
             oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps:g}.mtx")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -769,7 +772,9 @@ def main(argv=None) -> int:
         ]}))
         return 2
     except ThinRodError as e:
-        failure = {"kind": type(e).__name__, "message": str(e)}
+        # the notes name the context, e.g. the mode being expanded
+        message = "; ".join([str(e), *getattr(e, "__notes__", [])])
+        failure = {"kind": type(e).__name__, "message": message}
         if isinstance(e, SolverFail):
             failure["history"] = e.history
         print(json.dumps({"failures": [failure]}))

@@ -27,24 +27,28 @@ Unknowns are the interior nodes in every direction, ordered s-major
 
 The separable part of the pencil, eps^-2 S (x) I + I (x) D_s, has the
 two-parametric spectrum eps^-2 lambda_n(omega) + theta_m, one rung per
-section mode n and axial sine mode m.  It is defined once: theta_m in
-``_axial_eigenvalues``, the sorted rungs in :func:`separable_ladder`.  The
-start block, the preconditioner's denominators, the straight-rod reference
-and the CLI's eigenpair count all read that definition.
+section mode n and axial sine mode m.  It is defined once: theta_m by
+``_dirichlet_eigenvalues`` on the axis, the sorted rungs in
+:func:`separable_ladder`.  The start block, the preconditioner's
+denominators, the straight-rod reference and the CLI's eigenpair count all
+read that definition.
 
 Solves are deterministic: the starting block is the lowest rungs of the
 ladder (1D sine profiles times section modes solved sparsely on the
 operator's grid) and one block LOBPCG run, implemented here, is
-preconditioned by the exact shifted inverse of the separable part (dense
-section eigenbasis times a sine transform along the axis, applied as matrix
-products).  The run stops as soon as the K requested pairs reach a quarter
-of the target below; the guard columns beyond K only set the window edge
-and are not required to converge.
-Sections with more than 4096 interior nodes are too large for the dense
-eigenbasis: the iterative solve of a curved or twisted rod on such a section
-raises SolverFail before it starts (:func:`_check_section_size`, which the
-CLI also runs before any work), and a straight untwisted rod solves at any
-size because its separable start block is already converged.
+preconditioned by the exact shifted inverse of the separable part (section
+eigenbasis times a sine transform along the axis, applied as matrix
+products).  On a full rectangular mask the section eigenbasis is itself a
+product of two sine transforms with closed-form eigenvalues; any other mask
+takes a dense eigenbasis from eigh.  The run stops as soon as the K
+requested pairs reach a quarter of the target below; the guard columns
+beyond K only set the window edge and are not required to converge.
+Non-rectangular sections with more than 4096 interior nodes are too large
+for the dense eigenbasis: the iterative solve of a curved or twisted rod on
+such a section raises SolverFail before it starts
+(:func:`_check_section_size`, which the CLI also runs before any work), and
+a straight untwisted rod solves at any size because its separable start
+block is already converged.  Rectangular sections have no such limit.
 Small problems go through a dense solver directly.  Every requested pair
 must meet ``max(tol, 8 * eps_mach * ||H||_inf)`` in the B-scaled norm (tol
 is 1e-8 by default; the second term is the floating-point floor of the
@@ -365,11 +369,24 @@ def _residual_norms(H, Bd, U, lam):
     )
 
 
-def _axial_eigenvalues(frame: FrameField, m_max: int) -> np.ndarray:
-    """theta_1..theta_m_max: eigenvalues (4/h^2) sin^2(m pi h / (2 s0)) of
-    the interior second-difference matrix along the axis."""
-    m = np.arange(1, m_max + 1)
-    return (4 / frame.h**2) * np.sin(m * np.pi * frame.h / (2 * frame.s0)) ** 2
+def _dirichlet_eigenvalues(h: float, length: float, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (4/h^2) sin^2(m pi h / (2 length)),
+    m = 1, 2, ..., of the Dirichlet second-difference matrix -d^2 with
+    spacing h on an interval of that length (length / h - 1 interior
+    nodes).  Along the axis (h, s0) they are theta_m."""
+    m = np.arange(1, count + 1)
+    return (4 / h**2) * np.sin(m * np.pi * h / (2 * length)) ** 2
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-I discrete sine transform matrix of order n.
+
+    Column m samples the m-th eigenvector of the n-node Dirichlet second
+    difference (eigenvalue order of :func:`_dirichlet_eigenvalues`); the
+    matrix is symmetric and its own inverse.
+    """
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
 def separable_ladder(frame: FrameField, lam_sec, eps: float, m_max: int) -> list:
@@ -380,7 +397,7 @@ def separable_ladder(frame: FrameField, lam_sec, eps: float, m_max: int) -> list
     the exact spectrum of the pencil on a straight untwisted rod and the
     leading order of the paper's expansions on any rod.
     """
-    theta = _axial_eigenvalues(frame, m_max)
+    theta = _dirichlet_eigenvalues(frame.h, frame.s0, m_max)
     return sorted(
         (eps**-2.0 * lam + th, n, m)
         for n, lam in enumerate(lam_sec, start=1)
@@ -408,8 +425,9 @@ def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
     return X
 
 
-# Sections up to this many interior nodes get a dense section eigenbasis
-# (its eigh costs O(n_omega^3) time and O(n_omega^2) memory).
+# Non-rectangular sections up to this many interior nodes get a dense
+# section eigenbasis (its eigh costs O(n_omega^3) time and O(n_omega^2)
+# memory); a full rectangular mask needs none.
 _SPECTRAL_CUTOFF = 4096
 
 
@@ -417,20 +435,27 @@ def _section_too_large(nw: int) -> SolverFail:
     return SolverFail(
         f"section has {nw} interior nodes, above the limit of "
         f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis a curved or "
-        "twisted rod's direct solve needs; lower section.n"
+        "twisted rod's direct solve needs on a non-rectangular section; "
+        "lower section.n"
     )
 
 
 def _check_section_size(frame: FrameField, grid: SectionGrid, dense_cutoff: int):
     """Raise SolverFail if the solve would need a dense section basis above
     _SPECTRAL_CUTOFF interior nodes: only the iterative solve (more than
-    `dense_cutoff` unknowns) of a curved or twisted rod applies it."""
+    `dense_cutoff` unknowns) of a curved or twisted rod applies it, and
+    only on a non-rectangular mask."""
     nw = grid.n_interior
     curved_or_twisted = any(
         np.abs(k).max() > 0 for k in (frame.kappa1, frame.kappa2, frame.kappa3)
     )
     iterative = (frame.s_grid.size - 2) * nw > dense_cutoff
-    if curved_or_twisted and iterative and nw > _SPECTRAL_CUTOFF:
+    if (
+        curved_or_twisted
+        and iterative
+        and not grid.mask.all()
+        and nw > _SPECTRAL_CUTOFF
+    ):
         raise _section_too_large(nw)
 
 
@@ -441,42 +466,63 @@ def _separable_preconditioner(op: TransformedOperator):
     are relatively bounded, so (sep - sigma I)^{-1} with sigma = 0.9 eps^-2
     lambda_1(S) is spectrally equivalent to (H - sigma B)^{-1}: it resolves
     the eps^-2 anisotropy that defeats black-box multigrid at small eps.
-    Applied as four contiguous matrix products on the s-major unknowns: the
-    orthonormal type-I discrete sine transform matrix along the axis
-    (symmetric, its own inverse), the transposed dense section eigenbasis,
-    the diagonal scaling, and back.  The denominators are the rungs of the
-    separable ladder, minus sigma.  Fully deterministic.  The dense basis
-    stays inside the returned LinearOperator and is built on its first
-    apply, so a solve that never applies the operator skips the eigh (the
-    straight untwisted rod, whose start block is already converged).  On a
-    section with more than _SPECTRAL_CUTOFF interior nodes that first
-    apply raises the SolverFail of :func:`_check_section_size` instead.
+    Applied as matrix products on the s-major unknowns: the orthonormal
+    type-I discrete sine transform matrix along the axis (symmetric, its own
+    inverse), the transposed section eigenbasis, the diagonal scaling, and
+    back.  The denominators are the rungs of the separable ladder, minus
+    sigma.  On a full rectangular mask (`grid.mask.all()`) S is a Kronecker
+    sum of 1D Dirichlet second differences, so its eigenbasis is the sine
+    matrix along xi2 (mask axis 0) times the one along xi3 (axis 1) and its
+    eigenvalues are closed-form sums (fast diagonalization: Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964); any other mask gets a dense eigenbasis
+    from eigh.  Fully deterministic.  The basis stays inside the returned
+    LinearOperator and is built on its first apply, so a solve that never
+    applies the operator skips it (the straight untwisted rod, whose start
+    block is already converged).  On a non-rectangular section with more
+    than _SPECTRAL_CUTOFF interior nodes that first apply raises the
+    SolverFail of :func:`_check_section_size` instead.
     """
     ms, nw = op.M_s - 2, op.n_omega
 
     @functools.cache
     def basis():
-        if nw > _SPECTRAL_CUTOFF:
-            raise _section_too_large(nw)
-        lam_sec, Phi = scipy.linalg.eigh(laplacian(op.grid).toarray())
-        j = np.arange(1, ms + 1)
-        sine = np.sqrt(2.0 / (ms + 1)) * np.sin(np.pi * np.outer(j, j) / (ms + 1))
-        sigma = 0.9 * op.eps**-2.0 * lam_sec[0]
+        grid = op.grid
+        if grid.mask.all():
+            n2, n3 = grid.mask.shape
+            lam_sec = (
+                _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
+                + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
+            ).ravel()
+            sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
+
+            def to_modes(U):  # sine2 (x) sine3, symmetric and its own inverse
+                cols = U.shape[1]
+                U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
+                return (sine3 @ U).reshape(nw, cols)
+
+            from_modes = to_modes
+        else:
+            if nw > _SPECTRAL_CUTOFF:
+                raise _section_too_large(nw)
+            lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray())
+            to_modes = np.ascontiguousarray(Phi.T).__matmul__
+            from_modes = Phi.__matmul__
+        sigma = 0.9 * op.eps**-2.0 * lam_sec.min()
         inv_denom = 1.0 / (
             op.eps**-2.0 * lam_sec[:, None]
-            + _axial_eigenvalues(op.frame, ms)[None, :]
+            + _dirichlet_eigenvalues(op.frame.h, op.frame.s0, ms)[None, :]
             - sigma
         )  # (n_omega, ms)
-        return sine, Phi, np.ascontiguousarray(Phi.T), inv_denom
+        return _sine_matrix(ms), to_modes, from_modes, inv_denom
 
     def apply(X):
-        sine, Phi, PhiT, inv_denom = basis()
+        sine, to_modes, from_modes, inv_denom = basis()
         k = X.size // op.n
         U = sine @ X.reshape(ms, nw * k)
         U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)
-        U = (PhiT @ U).reshape(nw, ms, k)
+        U = to_modes(U).reshape(nw, ms, k)
         U *= inv_denom[:, :, None]
-        U = Phi @ U.reshape(nw, ms * k)
+        U = from_modes(U.reshape(nw, ms * k))
         U = U.reshape(nw, ms, k).transpose(1, 0, 2).reshape(ms, nw * k)
         return (sine @ U).reshape(X.shape)
 

@@ -31,6 +31,12 @@ HELIX = {
     "modes": [[1, 1]],
 }
 
+# the helix on a disk section, which needs the dense section eigenbasis
+DISK_HELIX = {
+    **HELIX,
+    "section": {"kind": "disk", "radius": 0.5, "n": 10, "center": [0.12, -0.07]},
+}
+
 
 def write_config(tmp_path, overrides=None, base=STRAIGHT, name="cfg.json"):
     cfg = json.loads(json.dumps(base))
@@ -284,6 +290,20 @@ def test_verify_dump_matrix_writes_file(tmp_path):
     assert dump.read_text().startswith("%%MatrixMarket")
 
 
+def test_verify_dump_matrix_creates_the_out_directory(tmp_path, capsys):
+    path = write_config(
+        tmp_path, {"epsilon": 0.2, "dump_matrix": True, "modes": [[1, 1]]}
+    )
+    out = tmp_path / "not" / "there"
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    assert (out / "thinrod_H_eps0.2.mtx").read_text().startswith("%%MatrixMarket")
+    assert (out / "thinrod_verify.json").exists()
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -389,8 +409,8 @@ def test_main_exit_two_on_config_error(tmp_path, capsys):
 def test_main_exit_two_on_section_above_spectral_cutoff(
     tmp_path, capsys, monkeypatch
 ):
-    # a curved or twisted rod is rejected before any section solve,
-    # recurrence or assembly
+    # a curved or twisted rod on a non-rectangular section is rejected
+    # before any section solve, recurrence or assembly
     monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
 
     def unreachable(*args, **kwargs):
@@ -401,7 +421,8 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     monkeypatch.setattr(cli.oracle, "assemble", unreachable)
     for command, eps in (("verify", 0.2), ("sweep", [0.2, 0.1])):
         path = write_config(
-            tmp_path, {"epsilon": eps, "solver": {"dense_cutoff": 0}}, base=HELIX
+            tmp_path, {"epsilon": eps, "solver": {"dense_cutoff": 0}},
+            base=DISK_HELIX,
         )
         code, payload = run_main(
             [command, "--config", str(path), "--out", str(tmp_path)], capsys
@@ -411,6 +432,31 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
         assert failure["kind"] == "config"
         assert failure["path"] == "section.n"
         assert "limit of 16" in failure["message"]
+
+
+def test_square_helix_above_spectral_cutoff_still_solves(
+    tmp_path, capsys, monkeypatch
+):
+    # a full rectangular mask needs no dense section basis: the iterative
+    # solve runs past the limit and agrees with the dense solve
+    monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
+    lam = {}
+    for label, solver in (("iterative", {"dense_cutoff": 0}), ("dense", {})):
+        path = write_config(
+            tmp_path,
+            {"epsilon": 0.2, "modes": [[1, 1], [1, 2]], "solver": solver},
+            base=HELIX,
+        )
+        assert cli.parse_config(path).grid.n_interior > 16
+        code, payload = run_main(
+            ["verify", "--config", str(path), "--out", str(tmp_path / label)],
+            capsys,
+        )
+        assert code == 0
+        assert payload == {"failures": []}
+        report = json.loads((tmp_path / label / "thinrod_verify.json").read_text())
+        lam[label] = [r["lambda_direct"] for r in report["rows"]]
+    assert lam["iterative"] == pytest.approx(lam["dense"], abs=1e-7)
 
 
 def test_straight_rod_above_spectral_cutoff_still_solves(
@@ -465,6 +511,22 @@ def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
     (failure,) = payload["failures"]
     assert failure["kind"] == "config"
     assert failure["path"] == f"solver.{key}"
+
+
+def test_main_exit_two_names_the_mode_being_expanded(tmp_path, capsys):
+    # the recurrence refuses m = 18 at M_s 20; the failure line keeps the
+    # note naming the mode
+    path = write_config(tmp_path, {"epsilon": 0.2, "modes": [[1, 18]]})
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "SolverFail"
+    assert failure["message"] == (
+        "count 18 too large for 18 interior nodes; "
+        "while expanding mode (n=1, m=18)"
+    )
 
 
 def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):

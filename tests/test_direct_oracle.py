@@ -13,7 +13,13 @@ import scipy.sparse as sp
 
 from thinrod import asymptotic_engine as engine
 from thinrod import direct_oracle
-from thinrod.cross_section import laplacian, solve_section, square_grid
+from thinrod.cross_section import (
+    disk_grid,
+    laplacian,
+    mask_grid,
+    solve_section,
+    square_grid,
+)
 from thinrod.direct_oracle import (
     assemble,
     compare,
@@ -42,12 +48,15 @@ def _sine_eigenvalue(m, h, s0):
     return (4.0 / h**2) * np.sin(m * np.pi * h / (2 * s0)) ** 2
 
 
-def _helix_op(eps=0.25, n=12, M_s=24):
+def _helix_op(eps=0.25, n=12, M_s=24, kind="square"):
     fr = build_frame(
         CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
         M_s,
     )
-    return assemble(fr, square_grid(1.0, n, center=(0.12, -0.07)), eps)
+    center = (0.12, -0.07)
+    if kind == "disk":
+        return assemble(fr, disk_grid(0.5, n, center=center), eps)
+    return assemble(fr, square_grid(1.0, n, center=center), eps)
 
 
 # ----------------------------------------------------------------------
@@ -177,12 +186,26 @@ def test_iterative_solver_on_curved_twisted_rod():
     assert it.lam == pytest.approx(dense.lam, abs=1e-7)
 
 
-def test_preconditioner_is_exact_separable_inverse():
+@pytest.mark.parametrize("section", ["square", "mask", "disk"])
+def test_preconditioner_is_exact_separable_inverse(tmp_path, section):
     # a straight untwisted rod has B = I and H equal to its separable part,
     # so the preconditioner inverts H - sigma I exactly, through the
-    # operator's matmat for a block of columns and its matvec for a vector
+    # operator's matmat for a block of columns and its matvec for a vector.
+    # The square and the 7 x 11 all-ones mask take the sine (x) sine basis
+    # (the mask's unequal sides catch swapped xi2 / xi3 axes), the disk
+    # the dense eigenbasis.
+    if section == "square":
+        grid = square_grid(1.0, 10)
+    elif section == "mask":
+        path = tmp_path / "rect.mask"
+        path.write_text("7 11 0.1\n" + "\n".join(["1" * 11] * 7))
+        grid = mask_grid(path)
+        assert grid.mask.shape == (7, 11) and grid.mask.all()
+    else:
+        grid = disk_grid(0.5, 12)
+        assert not grid.mask.all()
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-    op = assemble(fr, square_grid(1.0, 10), 0.2)
+    op = assemble(fr, grid, 0.2)
     assert np.all(op.B == 1.0)
     prec = direct_oracle._separable_preconditioner(op)
     lam_1 = scipy.linalg.eigvalsh(laplacian(op.grid).toarray())[0]
@@ -221,10 +244,21 @@ def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
 
 
 def test_curved_solve_builds_section_basis_once(monkeypatch):
+    # a disk section needs the dense eigenbasis, built once per solve
+    calls = _count_eigh(monkeypatch)
+    op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
+    sol = solve_direct(op, 3, dense_cutoff=0)
+    assert sol.history[0]["prec_applies"] > 0
+    assert calls == [(op.n_omega, op.n_omega)]
+
+
+def test_curved_square_solve_runs_no_eigh(monkeypatch):
+    # a full rectangular mask has a closed-form sine (x) sine basis
     calls = _count_eigh(monkeypatch)
     op = _helix_op(eps=0.2, n=10, M_s=20)
-    solve_direct(op, 3, dense_cutoff=0)
-    assert calls == [(op.n_omega, op.n_omega)]
+    sol = solve_direct(op, 3, dense_cutoff=0)
+    assert sol.history[0]["prec_applies"] > 0
+    assert calls == []
 
 
 def test_curved_solve_reports_its_iterations():
@@ -253,7 +287,8 @@ def test_solve_stops_when_requested_pairs_converge():
 
 
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
-    op = _helix_op(eps=0.2, n=10, M_s=20)
+    # only a non-rectangular section needs the dense basis
+    op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
     monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
     assert op.n_omega > 16
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
@@ -262,7 +297,7 @@ def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
 
 def test_preconditioner_above_spectral_cutoff_refuses_on_first_apply(monkeypatch):
     # building the operator is free; only applying it would need the basis
-    op = _helix_op(eps=0.2, n=10, M_s=20)
+    op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
     monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
     prec = direct_oracle._separable_preconditioner(op)
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
