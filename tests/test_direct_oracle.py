@@ -209,7 +209,7 @@ def test_preconditioner_is_exact_separable_inverse(tmp_path, section):
     assert np.all(op.B == 1.0)
     prec = direct_oracle._separable_preconditioner(op)
     lam_1 = scipy.linalg.eigvalsh(laplacian(op.grid).toarray())[0]
-    sigma = 0.9 * op.eps**-2.0 * lam_1  # the documented shift
+    sigma = op.eps**-2.0 * lam_1  # the documented shift
     A = op.H - sigma * sp.identity(op.n, format="csr")
     X = np.cos(0.37 * np.arange(op.n * 4, dtype=float)).reshape(op.n, 4)
     assert np.abs(prec.matmat(A @ X) - X).max() < 1e-12
@@ -271,6 +271,20 @@ def test_curved_solve_reports_its_iterations():
     # one entry for the start block and one per iteration
     assert len(stage["residual_history"]) == stage["iterations"] + 1
     assert "warnings" not in stage
+
+
+@pytest.mark.parametrize("kind, n", [("square", 10), ("disk", 12)])
+def test_iterations_do_not_grow_as_the_rod_thins(kind, n):
+    # shifted by exactly eps^-2 lambda_1, the preconditioner's denominators
+    # of the wanted (1, m) rungs are theta_m, independent of eps, so the
+    # LOBPCG count stays flat (measured 8 / 7 / 6 on both sections; a
+    # shift of 0.9 eps^-2 lambda_1 gives 11 / 15 / 26 and 11 / 16 / 25)
+    iterations = []
+    for eps in (0.2, 0.1, 0.05):
+        op = _helix_op(eps=eps, n=n, M_s=40, kind=kind)
+        sol = solve_direct(op, 3, dense_cutoff=0)
+        iterations.append(sol.history[0]["iterations"])
+    assert iterations[-1] <= iterations[0], iterations
 
 
 def test_solve_stops_when_requested_pairs_converge():
@@ -424,6 +438,30 @@ def test_compare_twisted_straight_rod_small_gap():
     row = rep.rows[0]
     assert row.abs_gap < 1e-4
     assert row.bound_ok is True
+
+
+def test_compare_resolves_angles_below_the_cosine_floor():
+    # at order 5 the partial sum's angle to the direct eigenvector falls
+    # below 1.5e-8, where sqrt(1 - cos^2) cancels to exactly 0; the
+    # projection residual keeps resolving it (measured 5.4e-7 / 1.0e-8 /
+    # 1.8e-10 at eps 0.1 / 0.05 / 0.025)
+    fr = build_frame(
+        CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
+        48,
+    )
+    spec = _square(n=12, center=(0.12, -0.07))
+    st = engine.run_recurrence(fr, spec, 1, 1, N=5)
+    angles = []
+    for eps in (0.1, 0.05, 0.025):
+        op = assemble(fr, spec.grid, eps)
+        sol = solve_direct(op, 3)
+        (row,) = compare(sol, [st], eps).rows
+        angles.append(row.sin_angle)
+    assert 0.0 < angles[2] < angles[1] < angles[0], angles
+    v = to_vector(op, engine.partial_sums(st, eps)[1])
+    u = sol.vectors[:, row.match_index]
+    cos2 = (v @ (op.B * u)) ** 2 / ((v @ (op.B * v)) * (u @ (op.B * u)))
+    assert np.sqrt(max(0.0, 1.0 - min(1.0, cos2))) == 0.0
 
 
 def test_compare_flags_ambiguous_pairing():
