@@ -25,14 +25,25 @@ are (M_s, n_section) arrays on the full s-grid with zero end rows.
 
 Each step needs the coupling sum sum_{j=2}^{i+2} F_j psi_{i+2-j}.  The
 F_j with j >= 2 share one stencil and differ only by the weight
-c_j = q^(j-2), so the sum is one application of that stencil: the
-s-differences, the central differences and the R psi of the fields are
-Horner-summed in q (in q_mid for the flux), then differenced once and hit
-by R twice; R psi_k is computed once per finished field.  apply_Fj stays
-the single-j reference.  Structural zeros stay exact: where q == 0 each
-Horner step multiplies by an exact zero before adding the next field, so
-the sum is bit for bit F_2 applied to its first field, and the twist terms
-carry kappa3, an exact zero on an untwisted rod.
+c_j = q^(j-2), so apply_Fj, the one coupling stencil, takes a list of
+fields: their s-differences, central differences and R psi are
+Horner-summed in q (in q_mid for the flux), weighted once by c_j, then
+differenced once; the two twist terms under R share one product,
+R(k3 (c D_s U + k3 c R U)), since k3 is a per-row scalar.  R psi_k is
+computed once per finished field.  Structural zeros stay exact: where
+q == 0 each Horner step multiplies by an exact zero before adding the
+next field, and the twist terms carry kappa3, an exact zero on an
+untwisted rod.
+
+F~ = (1/2)(F_1 - lam_n q)(q .) + F_2 meets only the rank-one field
+Psi_{i-1}(s) phi(xi) of the ansatz.  As q is linear in xi and the
+curvatures are per-row scalars, F~(Psi phi) is exactly C W: six section
+vectors W built once per context (three curvature blocks of the F_1 part,
+phi, R phi and R R phi) weighted by six per-row coefficients C (k1^2 Psi,
+k1 k2 Psi, k2^2 Psi; D_ss Psi, k3 D_s Psi + D_s(k3 Psi), k3^2 Psi), so no
+sparse product is left in it; a zero curvature gives an exactly zero
+column.  One order thus costs one block section solve and five sparse
+section products.
 """
 
 from __future__ import annotations
@@ -87,11 +98,33 @@ class EngineContext:
     q_n: np.ndarray
     C_n: float  # interior |R phi|^2, the reduced-potential coefficient
     reduced: ReducedOperator
+    W: np.ndarray  # (6, n_interior) section vectors of F~ on Psi phi
+
+
+def _ftilde_basis(spectrum: SectionSpectrum, lam_n: float, phi, Rphi) -> np.ndarray:
+    """The six section vectors W with F~(Psi phi) = C W (see _ftilde).
+
+    With x = xi2 phi, y = xi3 phi and S' = S - lam_n, the first three are
+    the k1^2, k1 k2 and k2^2 blocks of (1/2)(q S' q - (k1 D2 - k2 D3) q) phi.
+    """
+    ops, g = spectrum.ops, spectrum.grid
+    x, y = g.xi2 * phi, g.xi3 * phi
+    Sx = ops.S @ x - lam_n * x
+    Sy = ops.S @ y - lam_n * y
+    return np.stack([
+        0.5 * (g.xi2 * Sx - ops.D2 @ x),
+        0.5 * (-g.xi3 * Sx - g.xi2 * Sy + ops.D3 @ x + ops.D2 @ y),
+        0.5 * (g.xi3 * Sy - ops.D3 @ y),
+        phi,
+        Rphi,
+        ops.R @ Rphi,
+    ])
 
 
 def build_context(frame: FrameField, spectrum: SectionSpectrum, n: int = 1) -> EngineContext:
     assert_simple(spectrum, n)
     lam_n, phi = spectrum.mode(n)
+    Rphi = spectrum.ops.R @ phi
     q, q_n = q_field(frame, spectrum, n)
     k = n - 1
     reduced = build_reduced(
@@ -101,8 +134,8 @@ def build_context(frame: FrameField, spectrum: SectionSpectrum, n: int = 1) -> E
         transverse_weights=(float(spectrum.a2[k]), float(spectrum.a3[k])),
     )
     return EngineContext(
-        frame, spectrum, n, lam_n, phi, spectrum.ops.R @ phi, q, q_n,
-        float(spectrum.C_int[k]), reduced,
+        frame, spectrum, n, lam_n, phi, Rphi, q, q_n,
+        float(spectrum.C_int[k]), reduced, _ftilde_basis(spectrum, lam_n, phi, Rphi),
     )
 
 
@@ -124,13 +157,18 @@ def _f1_minus_lq(ctx: EngineContext, U: TensorField) -> TensorField:
     return out
 
 
-def apply_Fj(ctx: EngineContext, j: int, U: TensorField) -> TensorField:
+def apply_Fj(ctx: EngineContext, j: int, U, RU=None) -> TensorField:
     """The order-j coupling operator, symmetric by construction.
 
-    j = 1: -div_xi(q grad_xi .).
+    j = 1: -div_xi(q grad_xi .), one field.
     j >= 2: d/ds c d/ds + R k3 c d/ds + d/ds k3 c R + k3^2 R c R with
     c = q^(j-2); s-fluxes with mean-then-power midpoint coefficients,
     first s-derivatives central, zero extension at the rod ends.
+
+    For j >= 2, U may be a list of fields: the result is then
+    sum_k F_{j+k} U[k], Horner-summed (see the module docstring).  RU, if
+    given, holds R U (a list for a list), and the sum makes one section
+    product.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -141,77 +179,72 @@ def apply_Fj(ctx: EngineContext, j: int, U: TensorField) -> TensorField:
         out += ctx.frame.kappa2[:, None] * _sec(ops.D3, U)
         return out
 
+    if not isinstance(U, list):
+        U, RU = [U], None if RU is None else [RU]
+    if RU is None:
+        RU = [_sec(ops.R, u) for u in U]
     hs = ctx.frame.h
-    k3 = ctx.frame.kappa3
-    p = j - 2
-    c = np.ones_like(ctx.q) if p == 0 else ctx.q**p
-    c_mid = np.ones_like(ctx.q[:-1]) if p == 0 else (0.5 * (ctx.q[1:] + ctx.q[:-1])) ** p
-
-    out = np.zeros_like(U)
-    flux = c_mid * (U[1:] - U[:-1]) / hs
-    out[1:-1] = (flux[1:] - flux[:-1]) / hs
-
-    DsU = np.zeros_like(U)
-    DsU[1:-1] = (U[2:] - U[:-2]) / (2 * hs)
-    out[1:-1] += _sec(ops.R, k3[:, None] * c * DsU)[1:-1]
-
-    W = k3[:, None] * c * _sec(ops.R, U)
-    out[1:-1] += (W[2:] - W[:-2]) / (2 * hs)
-
-    out[1:-1] += (k3**2)[1:-1, None] * _sec(ops.R, c * _sec(ops.R, U))[1:-1]
-    return out
-
-
-def _coupling_sum(ctx: EngineContext, U: list, RU: list) -> TensorField:
-    """sum_{j>=2} F_j U[j - 2], given RU[k] = R U[k] for every field.
-
-    The s-differences, central differences and R U of the fields are
-    Horner-summed in q in place, then differenced once and hit by R twice
-    (see the module docstring).  One field reproduces apply_Fj(ctx, 2, U[0])
-    bit for bit.
-    """
-    hs = ctx.frame.h
-    R = ctx.spectrum.ops.R
     q = ctx.q
-    q_mid = 0.5 * (q[1:] + q[:-1])
-    q_int = q[1:-1]
     k3 = ctx.frame.kappa3[:, None]
 
     last = U[-1]
     flux = last[1:] - last[:-1]
     ds = last[2:] - last[:-2]
     V = RU[-1].copy()
+    q_mid = 0.5 * (q[1:] + q[:-1])
     d = np.empty_like(last)  # scratch for the differences of one field
     for u, ru in zip(U[-2::-1], RU[-2::-1]):
         flux *= q_mid
         flux += np.subtract(u[1:], u[:-1], out=d[:-1])
-        ds *= q_int
+        ds *= q[1:-1]
         ds += np.subtract(u[2:], u[:-2], out=d[:-2])
         V *= q
         V += ru
+    p = j - 2
+    if p:
+        flux *= q_mid**p
+        ds *= q[1:-1] ** p
+        V *= q**p
 
-    # the four terms in apply_Fj's order, so one field gives its bits
     out = np.zeros_like(last)
     o = out[1:-1]
     flux /= hs
     np.subtract(flux[1:], flux[:-1], out=o)
     o /= hs
-    ds /= 2 * hs
-    ds *= k3[1:-1]
-    o += _sec(R, ds)
-    RV = _sec(R, V[1:-1])
+    # V = k3 c R U; R(k3 c D_s U) + k3^2 R(c R U) = R(k3 (c D_s U + V))
     V *= k3
-    dW = np.subtract(V[2:], V[:-2], out=d[:-2])
-    dW /= 2 * hs
-    o += dW
-    RV *= (k3**2)[1:-1]
-    o += RV
+    ds /= 2 * hs
+    ds += V[1:-1]
+    ds *= k3[1:-1]
+    o += _sec(ops.R, ds)
+    o += (V[2:] - V[:-2]) / (2 * hs)
     return out
 
 
-def _ftilde(ctx: EngineContext, V: TensorField) -> TensorField:
-    """F~ V = (1/2)(F_1 - lam_n q)(q V) + F_2 V."""
-    return 0.5 * _f1_minus_lq(ctx, ctx.q * V) + apply_Fj(ctx, 2, V)
+def _ftilde_coefficients(ctx: EngineContext, Psi: np.ndarray) -> np.ndarray:
+    """The (M_s, 6) weights C of the rows of ctx.W in F~(Psi phi) = C W.
+
+    k1^2 Psi, k1 k2 Psi and k2^2 Psi, then on interior rows D_ss Psi,
+    k3 D_s Psi + D_s(k3 Psi) and k3^2 Psi (the F_2 stencil on Psi phi).
+    """
+    fr = ctx.frame
+    hs = fr.h
+    k1, k2, k3 = fr.kappa1, fr.kappa2, fr.kappa3
+    C = np.zeros((Psi.size, 6))
+    C[:, 0] = k1 * k1 * Psi
+    C[:, 1] = k1 * k2 * Psi
+    C[:, 2] = k2 * k2 * Psi
+    flux = (Psi[1:] - Psi[:-1]) / hs
+    C[1:-1, 3] = (flux[1:] - flux[:-1]) / hs
+    k3Psi = k3 * Psi
+    C[1:-1, 4] = (k3[1:-1] * (Psi[2:] - Psi[:-2]) + k3Psi[2:] - k3Psi[:-2]) / (2 * hs)
+    C[1:-1, 5] = k3[1:-1] ** 2 * Psi[1:-1]
+    return C
+
+
+def _ftilde(ctx: EngineContext, Psi: np.ndarray) -> TensorField:
+    """F~(Psi phi) = (1/2)(F_1 - lam_n q)(q Psi phi) + F_2(Psi phi)."""
+    return _ftilde_coefficients(ctx, Psi) @ ctx.W
 
 
 @dataclass
@@ -312,7 +345,7 @@ def run_recurrence(
     Ft_next = np.zeros((M_s, nw))  # F~_{i+1} entering step i; F~_2 = 0
     for i in range(1, N):
         # section solve for psi~_{i+1}
-        t = _ftilde(ctx, Psi[i - 1][:, None] * ctx.phi[None, :])
+        t = _ftilde(ctx, Psi[i - 1])
         g_scale = max(_row_scale(h2, Ft_next), _row_scale(h2, t))
         G = Ft_next + t
         for j in range(2, i + 2):
@@ -334,7 +367,7 @@ def run_recurrence(
         U2 = psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi
         RU2 = _sec(ctx.spectrum.ops.R, U2)
         Ft = _f1_minus_lq(ctx, psi_tilde[i + 1])
-        Ft += _coupling_sum(ctx, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
+        Ft += apply_Fj(ctx, 2, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
         Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft
 

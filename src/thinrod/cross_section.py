@@ -343,7 +343,8 @@ def deflated_resolvent(
 ) -> np.ndarray:
     """u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0.
 
-    Bordered sparse LU, factorized once per n, reused across calls.
+    Bordered sparse LU (minimum-degree ordering), factorized once per n,
+    reused across calls.
     noise_floor: magnitude of the rhs before cancellation; rows whose norm
     fell below it are rounding residue and are not solvability-checked
     against themselves.
@@ -370,7 +371,10 @@ def deflated_resolvent(
             [[spectrum.ops.S - lam * sp.eye(phi.size), phi[:, None]], [phi[None, :], None]],
             format="csc",
         )
-        lu = splu(K)
+        # minimum degree on K^T + K: the fill of the bordered Laplacian is
+        # 0.57-0.78 of COLAMD's (30^2 and 96^2 squares, 24-node disk), and
+        # the solves against every s-row shrink with it
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A")
         spectrum._factors[n] = lu
 
     B = np.concatenate([rhs2, np.zeros((rhs2.shape[0], 1))], axis=1)

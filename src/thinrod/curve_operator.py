@@ -37,6 +37,7 @@ class ReducedOperator:
     s_grid: np.ndarray
     V: np.ndarray  # potential per node, full grid
     _factors: dict = field(default_factory=dict, repr=False)
+    _matrix: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -47,14 +48,16 @@ class ReducedOperator:
         return float(self.s_grid[-1])
 
     def matrix(self) -> sp.csr_matrix:
-        """Interior-node matrix of -d^2/ds^2 + V."""
-        m = self.s_grid.size - 2
-        h2 = self.h**2
-        return sp.diags(
-            [np.full(m - 1, -1.0 / h2), 2.0 / h2 + self.V[1:-1], np.full(m - 1, -1.0 / h2)],
-            offsets=(-1, 0, 1),
-            format="csr",
-        )
+        """Interior-node matrix of -d^2/ds^2 + V, built on the first call."""
+        if self._matrix is None:
+            m = self.s_grid.size - 2
+            h2 = self.h**2
+            self._matrix = sp.diags(
+                [np.full(m - 1, -1.0 / h2), 2.0 / h2 + self.V[1:-1], np.full(m - 1, -1.0 / h2)],
+                offsets=(-1, 0, 1),
+                format="csr",
+            )
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,12 @@ def deflated_reduced_resolvent(
             f"reduced rhs (n={mode.n}, m={mode.m}): defect {abs(dot):.3e} vs {nrm:.3e}"
         )
 
+    L = op.matrix()
     lu = op._factors.get(mode.m)
     if lu is None:
         K = sp.bmat(
             [
-                [op.matrix() - mode.lam0 * sp.eye(m_int), psi[:, None]],
+                [L - mode.lam0 * sp.eye(m_int), psi[:, None]],
                 [psi[None, :], None],
             ],
             format="csc",
@@ -150,7 +154,7 @@ def deflated_reduced_resolvent(
     sol = lu.solve(np.concatenate([r, [0.0]]))
     u = sol[:-1]
     proj = r - dot * psi
-    res = np.sqrt(h * np.sum((op.matrix() @ u - mode.lam0 * u - proj) ** 2))
+    res = np.sqrt(h * np.sum((L @ u - mode.lam0 * u - proj) ** 2))
     if res > _RESIDUAL_TOL * max(nrm, noise_floor, 1e-300):
         raise SolverFail(f"deflated reduced solve residual {res:.3e}")
     if full:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from thinrod import asymptotic_engine
 from thinrod.asymptotic_engine import (
-    _coupling_sum,
+    _f1_minus_lq,
+    _ftilde,
+    _ftilde_coefficients,
     _sec,
     apply_Fj,
     build_context,
@@ -13,7 +16,7 @@ from thinrod.asymptotic_engine import (
     q_field,
     run_recurrence,
 )
-from thinrod.cross_section import solve_section, square_grid
+from thinrod.cross_section import disk_grid, solve_section, square_grid
 from thinrod.errors import EpsilonOutOfRange
 from thinrod.geometry import CurveSpec, build_frame
 
@@ -89,22 +92,130 @@ def test_apply_Fj_symmetric(j):
     assert abs(a - b) < 1e-10 * max(scale, abs(a))
 
 
-def test_coupling_sum_equals_sum_of_apply_Fj():
-    # the Horner-summed couplings j = 2..7 against the single-j reference
+def _reference_Fj(ctx, j, U):
+    """F_j U for j >= 2, term by term with three section products: an
+    independent reference for the Horner-summed stencil in apply_Fj."""
+    R = ctx.spectrum.ops.R
+    hs = ctx.frame.h
+    k3 = ctx.frame.kappa3
+    p = j - 2
+    c = np.ones_like(ctx.q) if p == 0 else ctx.q**p
+    c_mid = np.ones_like(ctx.q[:-1]) if p == 0 else (0.5 * (ctx.q[1:] + ctx.q[:-1])) ** p
+
+    out = np.zeros_like(U)
+    flux = c_mid * (U[1:] - U[:-1]) / hs
+    out[1:-1] = (flux[1:] - flux[:-1]) / hs
+
+    DsU = np.zeros_like(U)
+    DsU[1:-1] = (U[2:] - U[:-2]) / (2 * hs)
+    out[1:-1] += _sec(R, k3[:, None] * c * DsU)[1:-1]
+
+    W = k3[:, None] * c * _sec(R, U)
+    out[1:-1] += (W[2:] - W[:-2]) / (2 * hs)
+
+    out[1:-1] += (k3**2)[1:-1, None] * _sec(R, c * _sec(R, U))[1:-1]
+    return out
+
+
+@pytest.mark.parametrize("j", [2, 3, 5])
+def test_apply_Fj_one_field_matches_reference(j):
+    ctx = _helix_ctx()
+    U = _rand_field(ctx, 7 + j)
+    want = _reference_Fj(ctx, j, U)
+    assert np.abs(apply_Fj(ctx, j, U) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_apply_Fj_list_equals_sum_of_reference():
+    # the Horner-summed couplings j = 2..7 against the term-by-term reference
     ctx = _helix_ctx()
     assert np.abs(ctx.q).max() > 0 and np.abs(ctx.frame.kappa3).max() > 0
     U = [_rand_field(ctx, 100 + j) for j in range(2, 8)]
     RU = [_sec(ctx.spectrum.ops.R, u) for u in U]
-    got = _coupling_sum(ctx, U, RU)
-    want = sum(apply_Fj(ctx, j, u) for j, u in zip(range(2, 8), U))
+    got = apply_Fj(ctx, 2, U, RU)
+    want = sum(_reference_Fj(ctx, j, u) for j, u in zip(range(2, 8), U))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a list starting at j = 3 is the same sum without its first field
+    got3 = apply_Fj(ctx, 3, U[1:], RU[1:])
+    want3 = want - _reference_Fj(ctx, 2, U[0])
+    assert np.abs(got3 - want3).max() <= 1e-12 * np.abs(want3).max()
 
 
-def test_coupling_sum_one_term_is_apply_F2():
+def _count_sec(monkeypatch):
+    calls = []
+    inner = asymptotic_engine._sec
+
+    def counting(M, U):
+        calls.append(1)
+        return inner(M, U)
+
+    monkeypatch.setattr(asymptotic_engine, "_sec", counting)
+    return calls
+
+
+def test_section_products_per_coupling(monkeypatch):
+    # F~ on Psi phi is a dense (M_s x 6)(6 x n) product; the coupling sum
+    # of any number of fields makes one section product once R U is known
     ctx = _helix_ctx()
-    U = _rand_field(ctx, 7)
-    got = _coupling_sum(ctx, [U], [_sec(ctx.spectrum.ops.R, U)])
-    assert np.array_equal(got, apply_Fj(ctx, 2, U))
+    U = [_rand_field(ctx, 200 + k) for k in range(4)]
+    RU = [_sec(ctx.spectrum.ops.R, u) for u in U]
+    Psi = np.sin(np.pi * ctx.frame.s_grid / ctx.frame.s0)
+    calls = _count_sec(monkeypatch)
+    _ftilde(ctx, Psi)
+    assert len(calls) == 0
+    apply_Fj(ctx, 2, U, RU)
+    assert len(calls) == 1
+
+
+def _ftilde_reference(ctx, Psi):
+    V = Psi[:, None] * ctx.phi[None, :]
+    return 0.5 * _f1_minus_lq(ctx, ctx.q * V) + apply_Fj(ctx, 2, V)
+
+
+def _profile(fr):
+    Psi = np.sin(np.pi * fr.s_grid / fr.s0) * (1 + 0.3 * fr.s_grid)
+    Psi[0] = Psi[-1] = 0.0
+    return Psi
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        square_grid(1.0, 14, center=(0.12, -0.07)),
+        disk_grid(0.5, 16, center=(0.12, -0.07)),
+    ],
+    ids=["square", "disk"],
+)
+def test_ftilde_closed_form_matches_stencils(grid):
+    fr = build_frame(
+        CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6), 48
+    )
+    ctx = build_context(fr, solve_section(grid, 3))
+    Psi = _profile(fr)
+    want = _ftilde_reference(ctx, Psi)
+    assert np.abs(_ftilde(ctx, Psi) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ftilde_straight_rod_is_s_laplacian():
+    fr = build_frame(CurveSpec("straight", s0=np.pi), 40)
+    ctx = build_context(fr, _square())
+    Psi = _profile(fr)
+    flux = (Psi[1:] - Psi[:-1]) / fr.h
+    d2 = np.zeros_like(Psi)
+    d2[1:-1] = (flux[1:] - flux[:-1]) / fr.h
+    assert np.array_equal(_ftilde(ctx, Psi), d2[:, None] * ctx.phi[None, :])
+
+
+def test_ftilde_straight_twisted_rod_has_no_curvature_part():
+    # kappa1 = kappa2 = 0 exactly: the F_1 blocks of F~ are exact zeros,
+    # leaving the F_2 stencil on Psi phi, whose R terms carry kappa3
+    fr = build_frame(CurveSpec("straight", s0=np.pi, twist="linear", twist_rate=0.8), 40)
+    ctx = build_context(fr, _square(center=(0.1, -0.05)))
+    Psi = _profile(fr)
+    C = _ftilde_coefficients(ctx, Psi)
+    assert np.all(C[:, :3] == 0.0)
+    assert np.all(C[1:-1, 5] != 0.0)
+    want = _ftilde_reference(ctx, Psi)
+    assert np.abs(_ftilde(ctx, Psi) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_F2_no_twist_is_s_laplacian_on_profiles():
