@@ -342,6 +342,10 @@ def run_recurrence(
     # sides more than 10 orders below it are cancellation residue and their
     # solutions are exact zeros, so structural zeros propagate exactly
     base = max(abs(ctx.lam_n), abs(lam0))
+    # _row_scale of every finished psi_k; that of lambda_j psi_k is
+    # |lambda_j| times it
+    psi_scale = np.zeros(N)
+    psi_scale[0] = _row_scale(h2, psi0)
     Ft_next = np.zeros((M_s, nw))  # F~_{i+1} entering step i; F~_2 = 0
     for i in range(1, N):
         # section solve for psi~_{i+1}
@@ -349,9 +353,8 @@ def run_recurrence(
         g_scale = max(_row_scale(h2, Ft_next), _row_scale(h2, t))
         G = Ft_next + t
         for j in range(2, i + 2):
-            t = lam_all[j] * psi[i + 1 - j]
-            g_scale = max(g_scale, _row_scale(h2, t))
-            G += t
+            g_scale = max(g_scale, abs(lam_all[j]) * psi_scale[i + 1 - j])
+            G += lam_all[j] * psi[i + 1 - j]
         base = max(base, g_scale)
         if _row_scale(h2, G) <= 1e-10 * base:
             defects.append((f"section i={i + 1} (zero rhs)", 0.0))
@@ -406,6 +409,7 @@ def run_recurrence(
             Psi[i] = deflated_reduced_resolvent(ctx.reduced, md, rhs, noise_floor=r_scale)
 
         psi[i] = U2 + Psi[i][:, None] * ctx.phi[None, :]
+        psi_scale[i] = _row_scale(h2, psi[i])
         if i < N - 1:
             Rpsi[i] = RU2 + Psi[i][:, None] * ctx.Rphi[None, :]
 

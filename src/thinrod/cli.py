@@ -25,10 +25,9 @@ Config schema (unknown fields are rejected, naming the offending path):
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
       "solver":  {"tol": float  (> 0, default 1e-8),
-                  "dense_cutoff": int  (>= 0, default 2048),
                   "maxiter": int  (>= 1, default 150),
-                  "count": int  (direct eigenpairs, fewer than the
-                                 unknowns; default 0 = auto)},
+                  "count": int  (direct eigenpairs, at most a quarter
+                                 of the unknowns; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
       "thresholds": {"slope_min": 1.5, "slope_max": 2.5,
@@ -246,17 +245,14 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("epsilon", "values must be distinct")
 
     solver = _get(raw, "solver", dict, "", default={})
-    _reject_unknown(solver, {"tol", "dense_cutoff", "maxiter", "count"}, "solver")
+    _reject_unknown(solver, {"tol", "maxiter", "count"}, "solver")
     solver = {
         "tol": _get(solver, "tol", float, "solver", default=1e-8),
-        "dense_cutoff": _get(solver, "dense_cutoff", int, "solver", default=2048),
         "maxiter": _get(solver, "maxiter", int, "solver", default=150),
         "count": _get(solver, "count", int, "solver", default=0),
     }
     if not solver["tol"] > 0:
         raise ConfigError("solver.tol", "expected a positive number")
-    if solver["dense_cutoff"] < 0:
-        raise ConfigError("solver.dense_cutoff", "expected an integer >= 0")
     if solver["maxiter"] < 1:
         raise ConfigError("solver.maxiter", "expected an integer >= 1")
     output = _get(raw, "output", dict, "", default={})
@@ -276,10 +272,11 @@ def parse_config(path) -> RunConfig:
     except ThinRodError as e:
         raise ConfigError("curve", str(e)) from e
     unknowns = (M_s - 2) * grid.n_interior
-    if not 0 <= solver["count"] < unknowns:
+    if not 0 <= solver["count"] <= unknowns // 4:
         raise ConfigError(
             "solver.count",
-            f"expected 0 (auto) or 1 to {unknowns - 1} for {unknowns} unknowns",
+            f"expected 0 (auto) or 1 to {unknowns // 4} (the solver's block "
+            f"limit, a quarter of the unknowns) for {unknowns} unknowns",
         )
     if epsilons:
         q = engine._tilt(frame, grid)
@@ -477,7 +474,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
     """
     try:
-        oracle._check_section_size(cfg.frame, cfg.grid, cfg.solver["dense_cutoff"])
+        oracle._check_section_size(cfg.frame, cfg.grid)
     except SolverFail as e:
         raise ConfigError("section.n", str(e)) from e
     spectrum = _solve_spectrum(cfg)
@@ -488,11 +485,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     for eps in eps_list:
         op = oracle.assemble(cfg.frame, cfg.grid, eps)
         sol = oracle.solve_direct(
-            op,
-            K,
-            tol=cfg.solver["tol"],
-            dense_cutoff=cfg.solver["dense_cutoff"],
-            maxiter=cfg.solver["maxiter"],
+            op, K, tol=cfg.solver["tol"], maxiter=cfg.solver["maxiter"]
         )
         if cfg.dump_matrix:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -44,12 +44,11 @@ takes a dense eigenbasis from eigh.  The run stops as soon as the K
 requested pairs reach a quarter of the target below; the guard columns
 beyond K only set the window edge and are not required to converge.
 Non-rectangular sections with more than 4096 interior nodes are too large
-for the dense eigenbasis: the iterative solve of a curved or twisted rod on
-such a section raises SolverFail before it starts
-(:func:`_check_section_size`, which the CLI also runs before any work), and
-a straight untwisted rod solves at any size because its separable start
-block is already converged.  Rectangular sections have no such limit.
-Small problems go through a dense solver directly.  Every requested pair
+for the dense eigenbasis: the solve of a curved or twisted rod on such a
+section raises SolverFail before it starts (:func:`_check_section_size`,
+which the CLI also runs before any work), and a straight untwisted rod
+solves at any size because its separable start block is already
+converged.  Rectangular sections have no such limit.  Every requested pair
 must meet ``max(tol, 8 * eps_mach * ||H||_inf)`` in the B-scaled norm (tol
 is 1e-8 by default; the second term is the floating-point floor of the
 residual), or the solve raises SolverFail with LOBPCG's residual history.
@@ -440,22 +439,15 @@ def _section_too_large(nw: int) -> SolverFail:
     )
 
 
-def _check_section_size(frame: FrameField, grid: SectionGrid, dense_cutoff: int):
+def _check_section_size(frame: FrameField, grid: SectionGrid):
     """Raise SolverFail if the solve would need a dense section basis above
-    _SPECTRAL_CUTOFF interior nodes: only the iterative solve (more than
-    `dense_cutoff` unknowns) of a curved or twisted rod applies it, and
-    only on a non-rectangular mask."""
+    _SPECTRAL_CUTOFF interior nodes: only a curved or twisted rod applies
+    it, and only on a non-rectangular mask."""
     nw = grid.n_interior
     curved_or_twisted = any(
         np.abs(k).max() > 0 for k in (frame.kappa1, frame.kappa2, frame.kappa3)
     )
-    iterative = (frame.s_grid.size - 2) * nw > dense_cutoff
-    if (
-        curved_or_twisted
-        and iterative
-        and not grid.mask.all()
-        and nw > _SPECTRAL_CUTOFF
-    ):
+    if curved_or_twisted and not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
         raise _section_too_large(nw)
 
 
@@ -621,14 +613,14 @@ def solve_direct(
     K: int,
     *,
     tol: float = 1e-8,
-    dense_cutoff: int = 2048,
     maxiter: int = 150,
 ) -> DirectSolution:
     """Lowest K eigenpairs of H u = lambda B u, deterministically.
 
-    Dense up to `dense_cutoff` unknowns, else one preconditioned block LOBPCG
-    run (Knyazev, SIAM J. Sci. Comput. 23, 2001; see `_lobpcg`) of at most
-    `maxiter` iterations, which stops once the K requested pairs have
+    One preconditioned block LOBPCG run (Knyazev, SIAM J. Sci. Comput. 23,
+    2001; see `_lobpcg`) of at most `maxiter` iterations on a block of
+    min(K + max(3, K), n // 4) columns, so K may be at most n // 4 (else
+    SolverFail); it stops once the K requested pairs have
     ||H u - lambda B u|| / ||B u|| <= target / 4.  Afterwards the residuals
     are recomputed from H, and every requested pair must meet
     target = max(tol, 8 eps_mach ||H||_inf), or SolverFail is raised with
@@ -636,42 +628,34 @@ def solve_direct(
     the window edge is the top guard's Ritz value minus its residual, so an
     unconverged guard only lowers the edge.
 
-    The LOBPCG history entry holds `iterations` (preconditioned steps),
-    `h_applies` (block products with H inside the iteration: one for the
-    start block and one per step), `prec_applies`, `residual_history` (per
-    iteration, starting with the start block, the largest residual over the
-    K requested pairs) and `max_resid` (the largest recomputed residual over
-    all pairs, guards included).
+    The history has one entry: `stage` (always "lobpcg"), `iterations`
+    (preconditioned steps), `h_applies` (block products with H inside the
+    iteration: one for the start block and one per step), `prec_applies`,
+    `residual_history` (per iteration, starting with the start block, the
+    largest residual over the K requested pairs) and `max_resid` (the
+    largest recomputed residual over all pairs, guards included).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     n = op.n
     if K > n - 1:
         raise ValueError(f"K = {K} too large for {n} unknowns")
-    _check_section_size(op.frame, op.grid, dense_cutoff)
+    _check_section_size(op.frame, op.grid)
     H, Bd = op.H, op.B
     hnorm = float(np.abs(H).sum(axis=1).max())
     target = max(tol, 8 * _MACH * hnorm)
-    nb = min(K + max(3, K), n - 1)
-
-    if n <= dense_cutoff:
-        w, V = scipy.linalg.eigh(
-            H.toarray(), np.diag(Bd), subset_by_index=[0, nb - 1]
-        )
-        stage = {"stage": "dense"}
-    else:
-        nb = min(nb, n // 4)
-        if nb < K:
-            raise SolverFail(f"block size {nb} below K = {K}; refine the grid")
-        w, V, stage = _lobpcg(
-            H,
-            Bd,
-            _start_block(op, nb),
-            _separable_preconditioner(op),
-            K,
-            0.25 * target,
-            maxiter,
-        )
+    nb = min(K + max(3, K), n // 4)
+    if nb < K:
+        raise SolverFail(f"block size {nb} below K = {K}; refine the grid")
+    w, V, stage = _lobpcg(
+        H,
+        Bd,
+        _start_block(op, nb),
+        _separable_preconditioner(op),
+        K,
+        0.25 * target,
+        maxiter,
+    )
     res = _residual_norms(H, Bd, V, w)
     stage["max_resid"] = float(res.max())
     history = [stage]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thinrod import cli
 from thinrod.errors import ConfigError
@@ -88,6 +89,8 @@ def test_unknown_fields_name_the_path(tmp_path):
         tmp_path, {"section": {"kind": "square", "n": 8, "mode": "x"}}
     ).path == "section.mode"
     assert config_error(tmp_path, {"solver": {"fast": True}}).path == "solver.fast"
+    assert config_error(tmp_path, {"solver": {"dense_cutoff": 0}}
+                        ).path == "solver.dense_cutoff"
     assert config_error(tmp_path, {"thresholds": {"slope": 2.0}}
                         ).path == "thresholds.slope"
 
@@ -421,8 +424,7 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     monkeypatch.setattr(cli.oracle, "assemble", unreachable)
     for command, eps in (("verify", 0.2), ("sweep", [0.2, 0.1])):
         path = write_config(
-            tmp_path, {"epsilon": eps, "solver": {"dense_cutoff": 0}},
-            base=DISK_HELIX,
+            tmp_path, {"epsilon": eps}, base=DISK_HELIX
         )
         code, payload = run_main(
             [command, "--config", str(path), "--out", str(tmp_path)], capsys
@@ -437,33 +439,33 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
 def test_square_helix_above_spectral_cutoff_still_solves(
     tmp_path, capsys, monkeypatch
 ):
-    # a full rectangular mask needs no dense section basis: the iterative
-    # solve runs past the limit and agrees with the dense solve
+    # a full rectangular mask needs no dense section basis: the solve runs
+    # past the limit and agrees with a dense eigh of the assembled pencil
     monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
-    lam = {}
-    for label, solver in (("iterative", {"dense_cutoff": 0}), ("dense", {})):
-        path = write_config(
-            tmp_path,
-            {"epsilon": 0.2, "modes": [[1, 1], [1, 2]], "solver": solver},
-            base=HELIX,
-        )
-        assert cli.parse_config(path).grid.n_interior > 16
-        code, payload = run_main(
-            ["verify", "--config", str(path), "--out", str(tmp_path / label)],
-            capsys,
-        )
-        assert code == 0
-        assert payload == {"failures": []}
-        report = json.loads((tmp_path / label / "thinrod_verify.json").read_text())
-        lam[label] = [r["lambda_direct"] for r in report["rows"]]
-    assert lam["iterative"] == pytest.approx(lam["dense"], abs=1e-7)
+    path = write_config(
+        tmp_path, {"epsilon": 0.2, "modes": [[1, 1], [1, 2]]}, base=HELIX
+    )
+    cfg = cli.parse_config(path)
+    assert cfg.grid.n_interior > 16
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    lam = [r["lambda_direct"] for r in report["rows"]]
+    op = cli.oracle.assemble(cfg.frame, cfg.grid, 0.2)
+    ref = scipy.linalg.eigh(
+        op.H.toarray(), np.diag(op.B), subset_by_index=[0, 1], eigvals_only=True
+    )
+    assert lam == pytest.approx(ref, abs=1e-7)
 
 
 def test_straight_rod_above_spectral_cutoff_still_solves(
     tmp_path, capsys, monkeypatch
 ):
     monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
-    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"dense_cutoff": 0}})
+    path = write_config(tmp_path, {"epsilon": 0.2})
     assert cli.parse_config(path).grid.n_interior > 16
     code, payload = run_main(
         ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
@@ -476,7 +478,7 @@ def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
     # one LOBPCG iteration leaves the solve short of its target
     path = write_config(
         tmp_path,
-        {"epsilon": 0.2, "solver": {"dense_cutoff": 0, "maxiter": 1}},
+        {"epsilon": 0.2, "solver": {"maxiter": 1}},
         base=HELIX,
     )
     code, payload = run_main(
@@ -495,11 +497,11 @@ def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
     "key, value",
     [
         ("count", 1000000),  # the straight config has 18 * 64 = 1152 unknowns
+        ("count", 1152 // 4 + 1),  # above the solver's block limit
         ("count", -1),
         ("tol", 0.0),
         ("tol", -1.0),
         ("maxiter", 0),
-        ("dense_cutoff", -5),
     ],
 )
 def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
@@ -511,6 +513,19 @@ def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
     (failure,) = payload["failures"]
     assert failure["kind"] == "config"
     assert failure["path"] == f"solver.{key}"
+
+
+def test_verify_at_the_solver_block_limit(tmp_path, capsys):
+    # solver.count may reach a quarter of the 1152 unknowns, LOBPCG's
+    # block limit, and every requested pair still meets its target
+    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"count": 1152 // 4}})
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    assert report["eigenpairs_computed"] == 288
 
 
 def test_main_exit_two_names_the_mode_being_expanded(tmp_path, capsys):

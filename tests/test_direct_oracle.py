@@ -48,6 +48,14 @@ def _sine_eigenvalue(m, h, s0):
     return (4.0 / h**2) * np.sin(m * np.pi * h / (2 * s0)) ** 2
 
 
+def _dense_reference(op, k):
+    """The k lowest eigenvalues of the pencil by a full dense eigh, the
+    reference every LOBPCG solve is checked against."""
+    return scipy.linalg.eigh(
+        op.H.toarray(), np.diag(op.B), subset_by_index=[0, k - 1], eigvals_only=True
+    )
+
+
 def _helix_op(eps=0.25, n=12, M_s=24, kind="square"):
     fr = build_frame(
         CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
@@ -172,18 +180,16 @@ def test_straight_rod_eigenvalues_are_separable_sums():
 def test_iterative_solver_matches_dense_solver():
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     op = assemble(fr, square_grid(1.0, 10), 0.2)
-    dense = solve_direct(op, 3)
-    it = solve_direct(op, 3, dense_cutoff=0)
-    assert it.lam == pytest.approx(dense.lam, abs=1e-7)
+    it = solve_direct(op, 3)
+    assert it.lam == pytest.approx(_dense_reference(op, 3), abs=1e-7)
     assert np.all(it.residuals < 1e-8)
     assert [h["stage"] for h in it.history] == ["lobpcg"]
 
 
 def test_iterative_solver_on_curved_twisted_rod():
     op = _helix_op(eps=0.2, n=10, M_s=20)
-    dense = solve_direct(op, 3)
-    it = solve_direct(op, 3, dense_cutoff=0)
-    assert it.lam == pytest.approx(dense.lam, abs=1e-7)
+    it = solve_direct(op, 3)
+    assert it.lam == pytest.approx(_dense_reference(op, 3), abs=1e-7)
 
 
 @pytest.mark.parametrize("section", ["square", "mask", "disk"])
@@ -237,7 +243,7 @@ def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
     calls = _count_eigh(monkeypatch)
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     op = assemble(fr, square_grid(1.0, 10), 0.2)
-    sol = solve_direct(op, 3, dense_cutoff=0)
+    sol = solve_direct(op, 3)
     assert [h["stage"] for h in sol.history] == ["lobpcg"]
     assert sol.history[0]["prec_applies"] == 0
     assert calls == []
@@ -247,7 +253,7 @@ def test_curved_solve_builds_section_basis_once(monkeypatch):
     # a disk section needs the dense eigenbasis, built once per solve
     calls = _count_eigh(monkeypatch)
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
-    sol = solve_direct(op, 3, dense_cutoff=0)
+    sol = solve_direct(op, 3)
     assert sol.history[0]["prec_applies"] > 0
     assert calls == [(op.n_omega, op.n_omega)]
 
@@ -256,14 +262,14 @@ def test_curved_square_solve_runs_no_eigh(monkeypatch):
     # a full rectangular mask has a closed-form sine (x) sine basis
     calls = _count_eigh(monkeypatch)
     op = _helix_op(eps=0.2, n=10, M_s=20)
-    sol = solve_direct(op, 3, dense_cutoff=0)
+    sol = solve_direct(op, 3)
     assert sol.history[0]["prec_applies"] > 0
     assert calls == []
 
 
 def test_curved_solve_reports_its_iterations():
     op = _helix_op(eps=0.2, n=10, M_s=20)
-    sol = solve_direct(op, 3, dense_cutoff=0)
+    sol = solve_direct(op, 3)
     (stage,) = sol.history
     assert stage["iterations"] > 0
     assert stage["prec_applies"] == stage["iterations"]
@@ -282,7 +288,7 @@ def test_iterations_do_not_grow_as_the_rod_thins(kind, n):
     iterations = []
     for eps in (0.2, 0.1, 0.05):
         op = _helix_op(eps=eps, n=n, M_s=40, kind=kind)
-        sol = solve_direct(op, 3, dense_cutoff=0)
+        sol = solve_direct(op, 3)
         iterations.append(sol.history[0]["iterations"])
     assert iterations[-1] <= iterations[0], iterations
 
@@ -293,10 +299,9 @@ def test_solve_stops_when_requested_pairs_converge():
     # ritz_all[-1] - window_guard = 2.8e-6, 280 times the 1e-8 target)
     op = _helix_op(eps=0.2, n=10, M_s=20)
     target = max(1e-8, 8 * np.finfo(float).eps * np.abs(op.H).sum(axis=1).max())
-    dense = solve_direct(op, 3)
-    sol = solve_direct(op, 3, dense_cutoff=0)
+    sol = solve_direct(op, 3)
     assert np.all(sol.residuals <= target)
-    assert sol.lam == pytest.approx(dense.lam, abs=1e-7)
+    assert sol.lam == pytest.approx(_dense_reference(op, 3), abs=1e-7)
     assert sol.ritz_all[-1] - sol.window_guard > target
 
 
@@ -306,7 +311,7 @@ def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
     monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
     assert op.n_omega > 16
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
-        solve_direct(op, 3, dense_cutoff=0)
+        solve_direct(op, 3)
 
 
 def test_preconditioner_above_spectral_cutoff_refuses_on_first_apply(monkeypatch):
@@ -323,7 +328,7 @@ def test_lobpcg_short_of_target_raises_solver_fail_with_history():
     # per-iteration residual history instead of accepting a looser limit
     op = _helix_op(eps=0.2, n=10, M_s=20)
     with pytest.raises(SolverFail, match="stalled") as exc:
-        solve_direct(op, 3, dense_cutoff=0, maxiter=1)
+        solve_direct(op, 3, maxiter=1)
     (stage,) = exc.value.history
     assert stage["stage"] == "lobpcg"
     assert stage["residual_history"]
@@ -527,6 +532,6 @@ def test_solution_is_deterministic():
     op2 = _helix_op(eps=0.2, n=10, M_s=20)
     dif = (op1.H - op2.H).tocsr()
     assert dif.nnz == 0 or np.abs(dif.data).max() == 0.0
-    s1 = solve_direct(op1, 3, dense_cutoff=0)
-    s2 = solve_direct(op2, 3, dense_cutoff=0)
+    s1 = solve_direct(op1, 3)
+    s2 = solve_direct(op2, 3)
     assert np.array_equal(s1.lam, s2.lam)
