@@ -502,6 +502,7 @@ def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
         ("tol", 0.0),
         ("tol", -1.0),
         ("maxiter", 0),
+        ("dense_cutoff", -5),  # a removed key: rejected as an unknown field
     ],
 )
 def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
