@@ -27,7 +27,7 @@ Config schema (unknown fields are rejected, naming the offending path):
       "solver":  {"tol": float  (> 0, default 1e-8),
                   "maxiter": int  (>= 1, default 150),
                   "count": int  (direct eigenpairs, at most a quarter
-                                 of the unknowns; default 0 = auto)},
+                                 of the unknowns less 3; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
       "thresholds": {"slope_min": 1.5, "slope_max": 2.5,
@@ -272,11 +272,13 @@ def parse_config(path) -> RunConfig:
     except ThinRodError as e:
         raise ConfigError("curve", str(e)) from e
     unknowns = (M_s - 2) * grid.n_interior
-    if not 0 <= solver["count"] <= unknowns // 4:
+    limit = oracle.max_pairs(unknowns)
+    if not 0 <= solver["count"] <= limit:
         raise ConfigError(
             "solver.count",
-            f"expected 0 (auto) or 1 to {unknowns // 4} (the solver's block "
-            f"limit, a quarter of the unknowns) for {unknowns} unknowns",
+            f"expected 0 (auto) or 1 to {limit} (the solver's block limit, a "
+            f"quarter of the unknowns, less 3 guard columns) for {unknowns} "
+            "unknowns",
         )
     if epsilons:
         q = engine._tilt(frame, grid)

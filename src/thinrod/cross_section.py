@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import label as _cc_label
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import ConfigError, MultipleEigenvalue, SolvabilityViolation, SolverFail
@@ -57,13 +56,14 @@ class SectionGrid:
 
 
 def _finish_grid(kind, h, mask, x2, x3) -> SectionGrid:
-    if int(mask.sum()) < 25:
+    n = int(mask.sum())
+    if n < 25:
         raise ConfigError("section", "mask must contain at least 25 interior nodes")
-    lab, ncomp = _cc_label(mask)
+    idx = -np.ones(mask.shape, dtype=np.int64)
+    idx[mask] = np.arange(n)
+    ncomp = _component_count(idx, n)
     if ncomp != 1:
         raise ConfigError("section", f"mask must be connected ({ncomp} components)")
-    idx = -np.ones(mask.shape, dtype=np.int64)
-    idx[mask] = np.arange(int(mask.sum()))
     X2, X3 = np.meshgrid(x2, x3, indexing="ij")
     g = SectionGrid(kind, float(h), mask, idx, X2[mask], X3[mask])
     for a in (g.mask, g.idx, g.xi2, g.xi3):
@@ -122,6 +122,29 @@ def _neighbor_pairs(idx, axis):
         a, b = idx[:, :-1], idx[:, 1:]
     m = (a >= 0) & (b >= 0)
     return a[m], b[m]
+
+
+def _component_count(idx, n) -> int:
+    """Connected components of the n nodes under the stencil's edges.
+
+    The edges are the 5-point stencil's neighbour pairs, so two nodes that
+    touch only at a corner are not connected.  Each round hooks every root
+    onto the smallest root across an edge and compresses every path to its
+    root, until no edge joins two trees.
+    """
+    pairs = [_neighbor_pairs(idx, axis) for axis in (0, 1)]
+    a = np.concatenate([p[0] for p in pairs])
+    b = np.concatenate([p[1] for p in pairs])
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        cut = ra != rb
+        if not cut.any():
+            return int(np.count_nonzero(root == np.arange(n)))
+        ra, rb = ra[cut], rb[cut]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def laplacian(grid: SectionGrid) -> sp.csr_matrix:

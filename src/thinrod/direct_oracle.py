@@ -608,6 +608,15 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
         AX += AS @ Zs
 
 
+_MIN_GUARDS = 3
+
+
+def max_pairs(n: int) -> int:
+    """Largest K `solve_direct` accepts on n unknowns: LOBPCG's block limit
+    of n // 4 columns less the guard columns it always keeps."""
+    return n // 4 - _MIN_GUARDS
+
+
 def solve_direct(
     op: TransformedOperator,
     K: int,
@@ -619,8 +628,10 @@ def solve_direct(
 
     One preconditioned block LOBPCG run (Knyazev, SIAM J. Sci. Comput. 23,
     2001; see `_lobpcg`) of at most `maxiter` iterations on a block of
-    min(K + max(3, K), n // 4) columns, so K may be at most n // 4 (else
-    SolverFail); it stops once the K requested pairs have
+    min(K + max(3, K), n // 4) columns.  At least three of them are guards,
+    so K may be at most `max_pairs(n)` = n // 4 - 3 (else SolverFail before
+    any iteration): with no guard, a cluster cut by the block edge can stall
+    LOBPCG short of the target.  It stops once the K requested pairs have
     ||H u - lambda B u|| / ||B u|| <= target / 4.  Afterwards the residuals
     are recomputed from H, and every requested pair must meet
     target = max(tol, 8 eps_mach ||H||_inf), or SolverFail is raised with
@@ -644,9 +655,12 @@ def solve_direct(
     H, Bd = op.H, op.B
     hnorm = float(np.abs(H).sum(axis=1).max())
     target = max(tol, 8 * _MACH * hnorm)
-    nb = min(K + max(3, K), n // 4)
-    if nb < K:
-        raise SolverFail(f"block size {nb} below K = {K}; refine the grid")
+    if K > max_pairs(n):
+        raise SolverFail(
+            f"K = {K} leaves fewer than {_MIN_GUARDS} guard columns in the block "
+            f"of {n // 4}; at most {max_pairs(n)} pairs, or refine the grid"
+        )
+    nb = min(K + max(_MIN_GUARDS, K), n // 4)
     w, V, stage = _lobpcg(
         H,
         Bd,

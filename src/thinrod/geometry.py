@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import FrameDrift, FrenetUndefined, InvalidCurve
 
@@ -212,6 +210,12 @@ class _SampledCurve:
     """
 
     def __init__(self, spec: CurveSpec, n_fine: int):
+        # imported here because only this curve kind needs them: with what
+        # they pull in (scipy.optimize, scipy.spatial, scipy.special,
+        # scipy.fft) they would add about 0.24 s to every run's import
+        from scipy.integrate import cumulative_trapezoid
+        from scipy.interpolate import CubicSpline, PchipInterpolator
+
         pts = np.asarray(spec.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
             raise InvalidCurve("sampled curve needs at least 4 points in R^3")

@@ -1,6 +1,10 @@
 """Config parsing, command outputs, exit codes, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,7 +501,8 @@ def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):
     "key, value",
     [
         ("count", 1000000),  # the straight config has 18 * 64 = 1152 unknowns
-        ("count", 1152 // 4 + 1),  # above the solver's block limit
+        ("count", 1152 // 4 + 1),  # above the solver's block
+        ("count", 1152 // 4 - 2),  # leaves fewer than 3 guard columns
         ("count", -1),
         ("tol", 0.0),
         ("tol", -1.0),
@@ -518,15 +523,18 @@ def test_main_exit_two_on_solver_key_out_of_range(tmp_path, capsys, key, value):
 
 def test_verify_at_the_solver_block_limit(tmp_path, capsys):
     # solver.count may reach a quarter of the 1152 unknowns, LOBPCG's
-    # block limit, and every requested pair still meets its target
-    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"count": 1152 // 4}})
+    # block limit, less 3 guard columns, and every requested pair still
+    # meets its target
+    path = write_config(
+        tmp_path, {"epsilon": 0.2, "solver": {"count": 1152 // 4 - 3}}
+    )
     code, payload = run_main(
         ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
     )
     assert code == 0
     assert payload == {"failures": []}
     report = json.loads((tmp_path / "thinrod_verify.json").read_text())
-    assert report["eigenpairs_computed"] == 288
+    assert report["eigenpairs_computed"] == 285
 
 
 def test_main_exit_two_names_the_mode_being_expanded(tmp_path, capsys):
@@ -616,3 +624,79 @@ def test_main_selftest_passes(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "thinrod_selftest.json").read_text())
     assert report["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# cold start: what a run imports
+# ----------------------------------------------------------------------
+
+# loaded by the sampled curve kind alone (scipy.interpolate,
+# scipy.integrate and what they pull in) or by no code path at all
+DEFERRED = [
+    "scipy.interpolate",
+    "scipy.integrate",
+    "scipy.ndimage",
+    "scipy.optimize",
+    "scipy.spatial",
+    "scipy.special",
+    "scipy.fft",
+]
+
+# runs every (command, config, out) of argv[1] in turn, then prints which
+# deferred modules were loaded after the import and after the runs
+IMPORT_SET_SCRIPT = """
+import json, sys
+from thinrod import cli
+deferred = json.loads(sys.argv[2])
+after_import = [m for m in deferred if m in sys.modules]
+for command, config, out in json.loads(sys.argv[1]):
+    getattr(cli, "cmd_" + command)(cli.parse_config(config), out)
+after_runs = [m for m in deferred if m in sys.modules]
+print(json.dumps({"after_import": after_import, "after_runs": after_runs}))
+"""
+
+
+def deferred_modules_loaded(tmp_path, runs):
+    """Run the commands in one fresh interpreter, since this one has long
+    since imported whatever the other tests needed."""
+    jobs = []
+    for k, (command, overrides, base) in enumerate(runs):
+        config = write_config(tmp_path, overrides, base, name=f"cfg{k}.json")
+        jobs.append([command, str(config), str(tmp_path / f"out{k}")])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_SCRIPT, json.dumps(jobs),
+         json.dumps(DEFERRED)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_analytic_curve_runs_load_no_deferred_scipy_module(tmp_path):
+    loaded = deferred_modules_loaded(
+        tmp_path,
+        [
+            ("verify", {"epsilon": 0.2}, HELIX),
+            ("sweep", {"epsilon": [0.2, 0.1]}, HELIX),
+            ("expand", None, DISK_HELIX),
+        ],
+    )
+    assert loaded == {"after_import": [], "after_runs": []}
+
+
+def test_sampled_curve_loads_the_deferred_modules_and_runs(tmp_path):
+    curve = {
+        "kind": "sampled",
+        "points": [[0.0, 0.0, 0.0], [0.5, 0.1, 0.0], [1.0, 0.3, 0.05],
+                   [1.5, 0.6, 0.1], [2.0, 1.0, 0.2]],
+        "twist": "linear", "twist_rate": 0.3,
+    }
+    loaded = deferred_modules_loaded(tmp_path, [("expand", {"curve": curve}, HELIX)])
+    assert loaded["after_import"] == []
+    assert {"scipy.interpolate", "scipy.integrate"} <= set(loaded["after_runs"])
+    lines = (tmp_path / "out0" / "thinrod_coefficients.csv").read_text().splitlines()
+    assert lines[0] == "n,m,i,lambda_i"
+    assert float(lines[1].split(",")[3]) > 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from thinrod.cross_section import (
+    _component_count,
     _finish_grid,
     assert_simple,
     deflated_resolvent,
@@ -167,6 +168,32 @@ def test_mask_file_rejects_bad_input(tmp_path):
     p.write_text("7 11 0.1\n" + "\n".join(["11111011111"] * 7) + "\n")
     with pytest.raises(ConfigError):
         mask_grid(p)
+
+
+def test_mask_blocks_touching_at_a_corner_are_two_components(tmp_path):
+    # connectivity follows the 5-point stencil: two 5 x 5 blocks that meet
+    # only diagonally share no edge, as under ndimage.label's cross structure
+    rows = ["1111100000"] * 5 + ["0000011111"] * 5
+    p = tmp_path / "corner.mask"
+    p.write_text("10 10 0.1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match=r"\(2 components\)"):
+        mask_grid(p)
+    # one node beside the corner joins them
+    rows[4] = "1111110000"
+    p.write_text("10 10 0.1\n" + "\n".join(rows) + "\n")
+    assert mask_grid(p).n_interior == 51
+
+
+def test_component_count_matches_ndimage_label():
+    from scipy.ndimage import label
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        mask = rng.random(tuple(rng.integers(1, 20, size=2))) < rng.uniform(0.3, 0.9)
+        n = int(mask.sum())
+        idx = -np.ones(mask.shape, dtype=np.int64)
+        idx[mask] = np.arange(n)
+        assert _component_count(idx, n) == label(mask)[1]
 
 
 def test_minimum_size_enforced():

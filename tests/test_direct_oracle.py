@@ -335,6 +335,31 @@ def test_lobpcg_short_of_target_raises_solver_fail_with_history():
     assert stage["residual_history"][-1] > 1e-8
 
 
+def test_solver_keeps_three_guard_columns_at_the_block_limit(monkeypatch):
+    # the centred 25-node square under the helix at M_s 16: 350 unknowns,
+    # a block of at most 87 columns.  With no guard (K = 87) LOBPCG stalls
+    # for 150 iterations at residual 1.7e-8 against 1e-8, since the 87th
+    # and 88th eigenvalues differ by 1.2e-5 relative; K = 84 keeps three
+    # guards and converges in 12 iterations
+    fr = build_frame(
+        CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
+        16,
+    )
+    op = assemble(fr, square_grid(1.0, 5), 0.2)
+    assert (op.n, direct_oracle.max_pairs(op.n)) == (350, 84)
+    sol = solve_direct(op, 84)
+    assert sol.history[0]["iterations"] <= 20
+    assert sol.lam == pytest.approx(_dense_reference(op, 84), rel=1e-9)
+
+    def no_iteration(*args):
+        raise AssertionError("LOBPCG ran")
+
+    # K = 85 is refused before LOBPCG starts
+    monkeypatch.setattr(direct_oracle, "_lobpcg", no_iteration)
+    with pytest.raises(SolverFail, match="fewer than 3 guard columns"):
+        solve_direct(op, 85)
+
+
 def test_solver_rejects_bad_sizes():
     op = _helix_op(eps=0.2, n=10, M_s=20)
     with pytest.raises(ValueError):
