@@ -4,7 +4,8 @@ The small parameter eps scales the cross-section; matching powers of
 eps in (H_eps - lambda B_eps) psi = 0 on the straightened rod yields a
 recurrence: each order solves a deflated section problem per s-node, a
 deflated reduced 1D problem in s, and fixes one eigenvalue coefficient
-lambda_i through the solvability (orthogonality) conditions.
+lambda_i through the solvability (orthogonality) conditions.  Both
+deflated problems are one bordered solve, cross_section.deflated_solve.
 
 Everything here is built from the same discrete stencils the direct
 solver uses, so the solvability conditions hold to rounding, not just
@@ -144,14 +145,14 @@ def _sec(M, U):
     return (M @ U.T).T
 
 
-def _f1_minus_lq(ctx: EngineContext, U: TensorField) -> TensorField:
-    """(F_1 - lam_n q) U; F_1 = -div_xi(q grad_xi .) in flux form.
+def _f1_minus_lq(ctx: EngineContext, U: TensorField, lam: float) -> TensorField:
+    """(F_1 - lam q) U; F_1 = -div_xi(q grad_xi .) in flux form.
 
-    Uses the exact factorization q (S - lam_n) - (k1 D2 - k2 D3); this is
+    Uses the exact factorization q (S - lam) - (k1 D2 - k2 D3); this is
     the same matrix as the midpoint-flux assembly because q is linear in xi.
     """
     ops = ctx.spectrum.ops
-    out = ctx.q * (_sec(ops.S, U) - ctx.lam_n * U)
+    out = ctx.q * (_sec(ops.S, U) - lam * U)
     out -= ctx.frame.kappa1[:, None] * _sec(ops.D2, U)
     out += ctx.frame.kappa2[:, None] * _sec(ops.D3, U)
     return out
@@ -160,7 +161,7 @@ def _f1_minus_lq(ctx: EngineContext, U: TensorField) -> TensorField:
 def apply_Fj(ctx: EngineContext, j: int, U, RU=None) -> TensorField:
     """The order-j coupling operator, symmetric by construction.
 
-    j = 1: -div_xi(q grad_xi .), one field.
+    j = 1: -div_xi(q grad_xi .), one field (_f1_minus_lq at lam = 0).
     j >= 2: d/ds c d/ds + R k3 c d/ds + d/ds k3 c R + k3^2 R c R with
     c = q^(j-2); s-fluxes with mean-then-power midpoint coefficients,
     first s-derivatives central, zero extension at the rod ends.
@@ -172,13 +173,10 @@ def apply_Fj(ctx: EngineContext, j: int, U, RU=None) -> TensorField:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    ops = ctx.spectrum.ops
     if j == 1:
-        out = ctx.q * _sec(ops.S, U)
-        out -= ctx.frame.kappa1[:, None] * _sec(ops.D2, U)
-        out += ctx.frame.kappa2[:, None] * _sec(ops.D3, U)
-        return out
+        return _f1_minus_lq(ctx, U, 0.0)
 
+    ops = ctx.spectrum.ops
     if not isinstance(U, list):
         U, RU = [U], None if RU is None else [RU]
     if RU is None:
@@ -369,7 +367,7 @@ def run_recurrence(
         # one q sum_{j=3}^{i+2} lambda_{j-3} psi_{i+2-j}
         U2 = psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi
         RU2 = _sec(ctx.spectrum.ops.R, U2)
-        Ft = _f1_minus_lq(ctx, psi_tilde[i + 1])
+        Ft = _f1_minus_lq(ctx, psi_tilde[i + 1], ctx.lam_n)
         Ft += apply_Fj(ctx, 2, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
         Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft

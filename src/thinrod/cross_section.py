@@ -18,6 +18,9 @@ coefficient of a disk, exactly zero in the limit, measures at about
 0.5-0.8 h (8.5e-3 at n = 64, 5.5e-3 at n = 128). Grid-aligned sections
 (rectangles, mask unions of cells) do not suffer from this and converge
 at O(h^2).
+
+deflated_solve is the one bordered deflated solve, shared by the section
+resolvent here and the reduced resolvent of curve_operator.
 """
 
 from __future__ import annotations
@@ -358,54 +361,62 @@ def _closure_rotational(grid: SectionGrid, phi: np.ndarray) -> float:
 def rotational_coefficient(spectrum: SectionSpectrum, n: int):
     """C_n = |R phi_n|^2 (closure quadrature) and the interior field R phi_n."""
     _, p = spectrum.mode(n)
-    return _closure_rotational(spectrum.grid, p), spectrum.ops.R @ p
+    return float(spectrum.C[n - 1]), spectrum.ops.R @ p
 
 
-def deflated_resolvent(
-    spectrum: SectionSpectrum, n: int, rhs: np.ndarray, noise_floor: float = 0.0
+def deflated_solve(
+    A, lam: float, phi: np.ndarray, w: float, rows: np.ndarray,
+    noise_floor: float, factors: dict, key,
 ) -> np.ndarray:
-    """u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0.
+    """Rows u of (A - lam) u = P rhs with <u, phi>_w = 0, one per rhs row.
 
-    Bordered sparse LU (minimum-degree ordering), factorized once per n,
-    reused across calls.
-    noise_floor: magnitude of the rhs before cancellation; rows whose norm
-    fell below it are rounding residue and are not solvability-checked
-    against themselves.
+    (lam, phi) is a simple eigenpair of the symmetric sparse A, phi unit in
+    <u, v>_w = w sum(u v), P the w-projector off phi.  The bordered LU of
+    [[A - lam, phi], [phi^T, 0]] is kept in factors[key].  noise_floor:
+    magnitude of the rhs before cancellation; rows whose norm fell below it
+    are rounding residue and are not solvability-checked against themselves.
     """
-    lam, phi = spectrum.mode(n)
-    h2 = spectrum.h**2
-    rhs = np.asarray(rhs, dtype=float)
-    one_d = rhs.ndim == 1
-    rhs2 = rhs[None, :] if one_d else rhs
-
-    nrm = np.sqrt(h2 * np.sum(rhs2**2, axis=1))
-    dot = h2 * (rhs2 @ phi)
+    nrm = np.sqrt(w * np.sum(rows**2, axis=1))
+    dot = w * (rows @ phi)
     floor = np.maximum(np.max(nrm) if nrm.size else 0.0, noise_floor)
     bad = np.abs(dot) > _ORTHO_TOL * np.maximum(nrm, floor)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise SolvabilityViolation(
-            f"section rhs row {k}: defect {abs(dot[k]):.3e} vs {nrm[k]:.3e}"
+            f"mode {key} rhs row {k}: defect {abs(dot[k]):.3e} vs {nrm[k]:.3e}"
         )
 
-    lu = spectrum._factors.get(n)
+    lu = factors.get(key)
     if lu is None:
         K = sp.bmat(
-            [[spectrum.ops.S - lam * sp.eye(phi.size), phi[:, None]], [phi[None, :], None]],
+            [[A - lam * sp.eye(phi.size), phi[:, None]], [phi[None, :], None]],
             format="csc",
         )
-        # minimum degree on K^T + K: the fill of the bordered Laplacian is
-        # 0.57-0.78 of COLAMD's (30^2 and 96^2 squares, 24-node disk), and
-        # the solves against every s-row shrink with it
-        lu = splu(K, permc_spec="MMD_AT_PLUS_A")
-        spectrum._factors[n] = lu
+        # minimum degree on K^T + K: the fill of the bordered section
+        # Laplacian is 0.57-0.78 of COLAMD's (30^2 and 96^2 squares, 24-node
+        # disk), and the solves against every s-row shrink with it
+        lu = factors[key] = splu(K, permc_spec="MMD_AT_PLUS_A")
 
-    B = np.concatenate([rhs2, np.zeros((rhs2.shape[0], 1))], axis=1)
+    B = np.concatenate([rows, np.zeros((rows.shape[0], 1))], axis=1)
     out = lu.solve(B.T).T[:, :-1]
-    proj = rhs2 - dot[:, None] * phi[None, :]
-    res = np.sqrt(h2 * np.sum(((spectrum.ops.S @ out.T).T - lam * out - proj) ** 2, axis=1))
+    proj = rows - dot[:, None] * phi[None, :]
+    res = np.sqrt(w * np.sum(((A @ out.T).T - lam * out - proj) ** 2, axis=1))
     bad = res > _RESIDUAL_TOL * np.maximum(np.maximum(nrm, noise_floor), 1e-300)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
-        raise SolverFail(f"deflated section solve residual {res[k]:.3e} (row {k})")
-    return out[0] if one_d else out
+        raise SolverFail(f"mode {key} deflated solve residual {res[k]:.3e} (row {k})")
+    return out
+
+
+def deflated_resolvent(
+    spectrum: SectionSpectrum, n: int, rhs: np.ndarray, noise_floor: float = 0.0
+) -> np.ndarray:
+    """u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0, for one rhs or a
+    stack of rows; the bordered LU is kept per n (see deflated_solve)."""
+    lam, phi = spectrum.mode(n)
+    rhs = np.asarray(rhs, dtype=float)
+    out = deflated_solve(
+        spectrum.ops.S, lam, phi, spectrum.h**2, np.atleast_2d(rhs),
+        noise_floor, spectrum._factors, n,
+    )
+    return out[0] if rhs.ndim == 1 else out

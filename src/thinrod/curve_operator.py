@@ -9,7 +9,9 @@ discretization order either way).
 
 Profiles are stored on the full s-grid with explicit zero end values;
 the 3-point operator acts on the interior nodes. Discrete inner
-product: <u,v> = h_s * sum over interior nodes.
+product: <u,v> = h_s * sum over interior nodes. ReducedOperator.matrix
+is the one tridiagonal: the eigensolve reads its diagonals, and the
+deflated resolvent hands it to cross_section.deflated_solve.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
 
-from .errors import DegenerateReduced, SolvabilityViolation, SolverFail
+from .cross_section import deflated_solve
+from .errors import DegenerateReduced, SolverFail
 from .geometry import FrameField
 
-_ORTHO_TOL = 1e-8
-_RESIDUAL_TOL = 1e-10
 _GAP_TOL = 1e-8
 
 
@@ -90,10 +90,10 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
     m_int = op.s_grid.size - 2
     if count + 1 > m_int:
         raise SolverFail(f"count {count} too large for {m_int} interior nodes")
-    h = op.h
-    d = 2.0 / h**2 + op.V[1:-1]
-    e = np.full(m_int - 1, -1.0 / h**2)
-    lam, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count))
+    L = op.matrix()
+    lam, vecs = eigh_tridiagonal(
+        L.diagonal(), L.diagonal(1), select="i", select_range=(0, count)
+    )
     scale = max(np.abs(lam).max(), 1.0 / op.s0**2)
     if np.any(np.diff(lam) <= _GAP_TOL * scale):
         k = int(np.argmin(np.diff(lam)))
@@ -104,7 +104,7 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
     for k in range(count):
         psi = np.zeros(op.s_grid.size)
         psi[1:-1] = vecs[:, k]
-        psi /= np.sqrt(h) * np.linalg.norm(psi[1:-1])
+        psi /= np.sqrt(op.h) * np.linalg.norm(psi[1:-1])
         if psi[np.argmax(np.abs(psi))] < 0:
             psi = -psi
         psi.setflags(write=False)
@@ -118,47 +118,15 @@ def deflated_reduced_resolvent(
     """u with (L - lam0) u = P rhs, <u, Psi0> = 0, Dirichlet ends.
 
     Accepts interior-length or full-grid rhs and returns the same shape.
-    Bordered sparse LU, factorized once per mode index, reused.
-    noise_floor: pre-cancellation magnitude of the rhs; below it the rhs
-    is rounding residue and is not solvability-checked against itself.
+    The bordered LU is kept per (n, m) on the operator (see deflated_solve).
     """
-    m_int = op.s_grid.size - 2
     rhs = np.asarray(rhs, dtype=float)
     full = rhs.size == op.s_grid.size
     r = rhs[1:-1] if full else rhs
-    if r.size != m_int:
+    if r.size != op.s_grid.size - 2:
         raise ValueError("rhs length matches neither the grid nor its interior")
-    h = op.h
-    psi = mode.Psi0[1:-1]
-
-    nrm = np.sqrt(h * np.sum(r**2))
-    dot = h * np.dot(r, psi)
-    if abs(dot) > _ORTHO_TOL * max(nrm, noise_floor):
-        raise SolvabilityViolation(
-            f"reduced rhs (n={mode.n}, m={mode.m}): defect {abs(dot):.3e} vs {nrm:.3e}"
-        )
-
-    L = op.matrix()
-    lu = op._factors.get(mode.m)
-    if lu is None:
-        K = sp.bmat(
-            [
-                [L - mode.lam0 * sp.eye(m_int), psi[:, None]],
-                [psi[None, :], None],
-            ],
-            format="csc",
-        )
-        lu = splu(K)
-        op._factors[mode.m] = lu
-
-    sol = lu.solve(np.concatenate([r, [0.0]]))
-    u = sol[:-1]
-    proj = r - dot * psi
-    res = np.sqrt(h * np.sum((L @ u - mode.lam0 * u - proj) ** 2))
-    if res > _RESIDUAL_TOL * max(nrm, noise_floor, 1e-300):
-        raise SolverFail(f"deflated reduced solve residual {res:.3e}")
-    if full:
-        out = np.zeros(op.s_grid.size)
-        out[1:-1] = u
-        return out
-    return u
+    (u,) = deflated_solve(
+        op.matrix(), mode.lam0, mode.Psi0[1:-1], op.h, r[None, :],
+        noise_floor, op._factors, (mode.n, mode.m),
+    )
+    return np.pad(u, 1) if full else u

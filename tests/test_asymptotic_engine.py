@@ -168,7 +168,7 @@ def test_section_products_per_coupling(monkeypatch):
 
 def _ftilde_reference(ctx, Psi):
     V = Psi[:, None] * ctx.phi[None, :]
-    return 0.5 * _f1_minus_lq(ctx, ctx.q * V) + apply_Fj(ctx, 2, V)
+    return 0.5 * _f1_minus_lq(ctx, ctx.q * V, ctx.lam_n) + apply_Fj(ctx, 2, V)
 
 
 def _profile(fr):

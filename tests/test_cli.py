@@ -584,6 +584,32 @@ def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
     assert report["ok"] is False
 
 
+def test_main_exit_one_on_failed_certificate(tmp_path, capsys, monkeypatch):
+    # the matched eigenvalue moved half way towards its neighbour lies
+    # farther from the partial sum than the residual certificate allows
+    solve_direct = cli.oracle.solve_direct
+
+    def shifted(*args, **kwargs):
+        sol = solve_direct(*args, **kwargs)
+        sol.lam = sol.lam.copy()
+        sol.lam[0] -= 0.5 * (sol.lam[1] - sol.lam[0])
+        return sol
+
+    monkeypatch.setattr(cli.oracle, "solve_direct", shifted)
+    path = write_config(tmp_path, {"epsilon": 0.2})
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    assert payload == {"failures": [
+        {"kind": "certificate", "eps": 0.2, "n": 1, "m": 1,
+         "message": "nearest computed eigenvalue farther than rho"}
+    ]}
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    assert report["ok"] is False
+    assert [r["bound_ok"] for r in report["rows"]] == [False, True]
+
+
 @pytest.mark.parametrize(
     "thresholds, message",
     [

@@ -11,13 +11,19 @@ from thinrod.cross_section import (
     _finish_grid,
     assert_simple,
     deflated_resolvent,
+    deflated_solve,
     disk_grid,
     mask_grid,
     rotational_coefficient,
     solve_section,
     square_grid,
 )
-from thinrod.errors import ConfigError, MultipleEigenvalue, SolvabilityViolation
+from thinrod.errors import (
+    ConfigError,
+    MultipleEigenvalue,
+    SolvabilityViolation,
+    SolverFail,
+)
 
 C1_SQUARE = np.pi**2 / 6 - 1.5  # |R phi_1|^2 for the centered unit square,
 # from the separable integrals of phi_1 = 2 cos(pi xi2) cos(pi xi3):
@@ -144,6 +150,22 @@ def test_solvability_violation():
     s = solve_section(square_grid(1.0, 24), 1)
     with pytest.raises(SolvabilityViolation):
         deflated_resolvent(s, 1, s.phi[0])
+
+
+def test_deflated_solve_residual_guard():
+    # bordered by a phi tilted towards phi_2, the matrix stays regular, but
+    # a rhs orthogonal to that phi keeps a part along the true eigenvector,
+    # which no u can produce: the solution misses its rhs and the guard fires
+    s = solve_section(square_grid(1.0, 24), 2)
+    lam, phi = s.mode(1)
+    w = s.h**2
+    off = phi + 1e-3 * s.phi[1]
+    off /= np.sqrt(w * np.sum(off**2))
+    rhs = s.phi[1] - w * np.sum(s.phi[1] * off) * off
+    with pytest.raises(SolverFail, match="residual"):
+        deflated_solve(s.ops.S, lam, off, w, rhs[None, :], 0.0, {}, 1)
+    u = deflated_solve(s.ops.S, lam, phi, w, s.phi[1:2], 0.0, {}, 1)
+    assert np.abs(u[0] - s.phi[1] / (s.lam[1] - lam)).max() < 1e-12
 
 
 def test_mask_file_roundtrip(tmp_path):

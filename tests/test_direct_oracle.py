@@ -380,6 +380,11 @@ def test_certificate_on_exact_eigenpair():
     assert rho < 1e-8
     assert ok is True
     assert np.abs(sol.lam - sol.lam[0]).min() == 0.0 <= rho
+    # a full-grid field gives the same certificate; without a solution
+    # there is nothing to check the bound against
+    field = to_field(op, sol.vectors[:, 0])
+    assert residual_certificate(op, float(sol.lam[0]), field, sol) == (rho, ok)
+    assert residual_certificate(op, float(sol.lam[0]), field) == (rho, None)
 
 
 def test_certificate_distance_bound_holds_for_any_quasimode():
