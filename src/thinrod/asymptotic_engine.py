@@ -254,8 +254,9 @@ class ExpansionState:
     convergence hint. Psi rows are the longitudinal profiles Psi_0..Psi_N
     (Psi_N = 0 by truncation), psi_tilde and psi the correction fields,
     with psi_i = psi_tilde_i + (1/2) Psi_{i-1} q phi + Psi_i phi.
-    solve_defects records the relative orthogonality defect of every
-    deflated solve's right-hand side.
+    solve_defects records the relative orthogonality defect that
+    cross_section.deflated_solve measured on every deflated solve's
+    right-hand side (0.0 where it cancelled to residue and was not solved).
     """
 
     n: int
@@ -281,15 +282,6 @@ class ExpansionState:
 
 def _inner(ctx: EngineContext, A: TensorField, B: TensorField) -> float:
     return float(ctx.frame.h * ctx.spectrum.h**2 * np.sum(A * B))
-
-
-def _rel_defect(ctx, G: TensorField, scale: float) -> float:
-    """Max per-s-node |<G, phi>| / ||G||, floored by the pre-cancellation scale."""
-    h2 = ctx.spectrum.h**2
-    dots = np.abs(h2 * (G[1:-1] @ ctx.phi))
-    nrms = np.sqrt(h2 * np.sum(G[1:-1] ** 2, axis=1))
-    floor = max(float(nrms.max(initial=0.0)), scale, 1e-300)
-    return float((dots / np.maximum(nrms, floor)).max(initial=0.0))
 
 
 def _row_scale(h2: float, T: TensorField) -> float:
@@ -357,10 +349,10 @@ def run_recurrence(
         if _row_scale(h2, G) <= 1e-10 * base:
             defects.append((f"section i={i + 1} (zero rhs)", 0.0))
         else:
-            defects.append((f"section i={i + 1}", _rel_defect(ctx, G, g_scale)))
-            psi_tilde[i + 1][1:-1] = deflated_resolvent(
+            psi_tilde[i + 1][1:-1], defect = deflated_resolvent(
                 spectrum, n, G[1:-1], noise_floor=g_scale
             )
+            defects.append((f"section i={i + 1}", defect))
 
         # F~_{i+2}: F_2 takes psi_i without its Psi_i phi part (not known
         # yet; _ftilde adds it next step), and the lambda terms fold into
@@ -394,17 +386,13 @@ def run_recurrence(
             r_scale = max(r_scale, _p_scale(t))
             rhs += t
         base = max(base, r_scale)
-        nrm = _p_scale(rhs)
-        if nrm <= 1e-10 * base:
+        if _p_scale(rhs) <= 1e-10 * base:
             defects.append((f"reduced i={i} (zero rhs)", 0.0))
         else:
-            defects.append(
-                (
-                    f"reduced i={i}",
-                    float(abs(hs * np.dot(rhs[1:-1], Psi0[1:-1])) / max(nrm, r_scale)),
-                )
+            Psi[i], defect = deflated_reduced_resolvent(
+                ctx.reduced, md, rhs, noise_floor=r_scale
             )
-            Psi[i] = deflated_reduced_resolvent(ctx.reduced, md, rhs, noise_floor=r_scale)
+            defects.append((f"reduced i={i}", defect))
 
         psi[i] = U2 + Psi[i][:, None] * ctx.phi[None, :]
         psi_scale[i] = _row_scale(h2, psi[i])

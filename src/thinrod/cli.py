@@ -30,8 +30,9 @@ Config schema (unknown fields are rejected, naming the offending path):
                                  of the unknowns less 3; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
-      "thresholds": {"slope_min": 1.5, "slope_max": 2.5,
-                     "rho_slope_min": 1.5},
+      "thresholds": {"slope_min": float  (default order - 1.5),
+                     "slope_max": float  (default order - 0.5),
+                     "rho_slope_min": float  (default 1.5)},
       "rng_free": true  (informational; anything else is rejected)
     }
 
@@ -64,7 +65,7 @@ from .geometry import CurveSpec, build_frame
 _DEFAULT_ORDER = 4
 _DEFAULT_M_S = 256
 _DEFAULT_SECTION_N = 96
-_DEFAULT_THRESHOLDS = {"slope_min": 1.5, "slope_max": 2.5, "rho_slope_min": 1.5}
+_DEFAULT_RHO_SLOPE_MIN = 1.5
 
 _VERIFY_HEADER = "eps,m,lambda_direct,lambda_partial,abs_gap,residual_rho,sin_angle"
 _EXPAND_HEADER = "n,m,i,lambda_i"
@@ -258,9 +259,12 @@ def parse_config(path) -> RunConfig:
     output = _get(raw, "output", dict, "", default={})
     _reject_unknown(output, {"prefix"}, "output")
     prefix = _get(output, "prefix", str, "output", default="thinrod")
-    thresholds = dict(_DEFAULT_THRESHOLDS)
+    # a partial sum through lambda_{N-2} misses by O(eps^(N-1)), so the
+    # default gap window is (N - 1) -+ 0.5
+    thresholds = {"slope_min": order - 1.5, "slope_max": order - 0.5,
+                  "rho_slope_min": _DEFAULT_RHO_SLOPE_MIN}
     user_thr = _get(raw, "thresholds", dict, "", default={})
-    _reject_unknown(user_thr, set(_DEFAULT_THRESHOLDS), "thresholds")
+    _reject_unknown(user_thr, set(thresholds), "thresholds")
     for key in user_thr:
         thresholds[key] = _get(user_thr, key, float, "thresholds")
     dump = raw.get("dump_matrix", False)
@@ -635,7 +639,7 @@ def _selftest_checks():
         op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
         res = oracle.operator_checks(op)
         assert res["symmetry_defect"] == 0.0
-        assert res["positive_definite"]
+        np.linalg.cholesky(op.H.toarray())  # raises unless H is positive definite
         lo, hi = res["b_range"]
         assert 0.5 < lo <= hi < 1.5
 

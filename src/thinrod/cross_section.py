@@ -367,19 +367,23 @@ def rotational_coefficient(spectrum: SectionSpectrum, n: int):
 def deflated_solve(
     A, lam: float, phi: np.ndarray, w: float, rows: np.ndarray,
     noise_floor: float, factors: dict, key,
-) -> np.ndarray:
-    """Rows u of (A - lam) u = P rhs with <u, phi>_w = 0, one per rhs row.
+) -> tuple[np.ndarray, float]:
+    """Rows u of (A - lam) u = P rhs with <u, phi>_w = 0, one per rhs row,
+    and the solvability defect of the rhs.
 
     (lam, phi) is a simple eigenpair of the symmetric sparse A, phi unit in
     <u, v>_w = w sum(u v), P the w-projector off phi.  The bordered LU of
     [[A - lam, phi], [phi^T, 0]] is kept in factors[key].  noise_floor:
     magnitude of the rhs before cancellation; rows whose norm fell below it
     are rounding residue and are not solvability-checked against themselves.
+    The defect is the largest |<rhs, phi>_w| / max(|rhs|_w, floor) of the
+    rows, the ratio refused above _ORTHO_TOL.
     """
     nrm = np.sqrt(w * np.sum(rows**2, axis=1))
     dot = w * (rows @ phi)
     floor = np.maximum(np.max(nrm) if nrm.size else 0.0, noise_floor)
     bad = np.abs(dot) > _ORTHO_TOL * np.maximum(nrm, floor)
+    defect = float((np.abs(dot) / np.maximum(nrm, max(floor, 1e-300))).max(initial=0.0))
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise SolvabilityViolation(
@@ -405,18 +409,19 @@ def deflated_solve(
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise SolverFail(f"mode {key} deflated solve residual {res[k]:.3e} (row {k})")
-    return out
+    return out, defect
 
 
 def deflated_resolvent(
     spectrum: SectionSpectrum, n: int, rhs: np.ndarray, noise_floor: float = 0.0
-) -> np.ndarray:
-    """u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0, for one rhs or a
-    stack of rows; the bordered LU is kept per n (see deflated_solve)."""
+) -> tuple[np.ndarray, float]:
+    """(u, defect): u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0, for
+    one rhs or a stack of rows, and the rhs's solvability defect; the
+    bordered LU is kept per n (see deflated_solve)."""
     lam, phi = spectrum.mode(n)
     rhs = np.asarray(rhs, dtype=float)
-    out = deflated_solve(
+    out, defect = deflated_solve(
         spectrum.ops.S, lam, phi, spectrum.h**2, np.atleast_2d(rhs),
         noise_floor, spectrum._factors, n,
     )
-    return out[0] if rhs.ndim == 1 else out
+    return (out[0] if rhs.ndim == 1 else out), defect

@@ -114,19 +114,20 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
 
 def deflated_reduced_resolvent(
     op: ReducedOperator, mode: ReducedMode, rhs: np.ndarray, noise_floor: float = 0.0
-) -> np.ndarray:
-    """u with (L - lam0) u = P rhs, <u, Psi0> = 0, Dirichlet ends.
+) -> tuple[np.ndarray, float]:
+    """(u, defect): u with (L - lam0) u = P rhs, <u, Psi0> = 0, Dirichlet
+    ends, and the rhs's solvability defect (see deflated_solve).
 
-    Accepts interior-length or full-grid rhs and returns the same shape.
-    The bordered LU is kept per (n, m) on the operator (see deflated_solve).
+    Accepts interior-length or full-grid rhs; u has the same shape.
+    The bordered LU is kept per (n, m) on the operator.
     """
     rhs = np.asarray(rhs, dtype=float)
     full = rhs.size == op.s_grid.size
     r = rhs[1:-1] if full else rhs
     if r.size != op.s_grid.size - 2:
         raise ValueError("rhs length matches neither the grid nor its interior")
-    (u,) = deflated_solve(
+    (u,), defect = deflated_solve(
         op.matrix(), mode.lam0, mode.Psi0[1:-1], op.h, r[None, :],
         noise_floor, op._factors, (mode.n, mode.m),
     )
-    return np.pad(u, 1) if full else u
+    return (np.pad(u, 1) if full else u), defect

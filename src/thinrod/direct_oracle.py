@@ -72,7 +72,6 @@ from .geometry import FrameField
 
 __all__ = [
     "TransformedOperator",
-    "CoefficientTable",
     "DirectSolution",
     "CompareRow",
     "CompareReport",
@@ -95,27 +94,6 @@ _MACH = float(np.finfo(float).eps)
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class CoefficientTable:
-    """Nodal 3x3 coefficient table of the transformed quadratic form.
-
-    Arrays have shape (M_s, n_omega); indices 1,2,3 refer to the s, xi2,
-    xi3 derivatives scaled as (d_s, eps^-1 d_2, eps^-1 d_3).  The table is
-    symmetric positive definite wherever p > 0 (its leading minors are
-    1/p, 1 and p).  The stencil samples A11 at s-edge midpoints, the
-    transverse weight p at section-edge midpoints, and the twist couplings
-    at nodes.
-    """
-
-    A11: np.ndarray
-    A12: np.ndarray
-    A13: np.ndarray
-    A22: np.ndarray
-    A23: np.ndarray
-    A33: np.ndarray
-    p: np.ndarray
 
 
 @dataclass
@@ -145,22 +123,6 @@ class TransformedOperator:
     def p(self) -> np.ndarray:
         """Nodal weight 1 - eps q on the full grid."""
         return 1.0 - self.eps * self.q
-
-    def coefficient_table(self) -> CoefficientTable:
-        eps, q = self.eps, self.q
-        k3 = self.frame.kappa3[:, None]
-        xi2, xi3 = self.grid.xi2[None, :], self.grid.xi3[None, :]
-        p = 1.0 - eps * q
-        pinv = 1.0 / p
-        return CoefficientTable(
-            A11=pinv,
-            A12=eps * k3 * xi3 * pinv,
-            A13=-eps * k3 * xi2 * pinv,
-            A22=p + (eps * k3 * xi3) ** 2 * pinv,
-            A23=-((eps * k3) ** 2) * xi2 * xi3 * pinv,
-            A33=p + (eps * k3 * xi2) ** 2 * pinv,
-            p=p,
-        )
 
 
 def to_vector(op: TransformedOperator, field: np.ndarray) -> np.ndarray:
@@ -253,34 +215,18 @@ def assemble(frame: FrameField, grid: SectionGrid, eps: float) -> TransformedOpe
 
 
 def operator_checks(op: TransformedOperator) -> dict:
-    """Measured invariants of an assembled pencil.
+    """Measured invariants of an assembled pencil, each O(nnz(H)).
 
     symmetry_defect : max |H - H^T| entry (0.0 by construction)
     b_range         : (min, max) of the weight diagonal, inside [1/2, 3/2]
-    minor_defects   : max deviation of the nodal coefficient-table leading
-                      minors from their closed forms (1/p, 1, p)
+    Positivity of H needs a dense Cholesky, O(n^3): the tests and the
+    selftest take one of their small H.
     """
     dif = (op.H - op.H.T).tocsr()
     sym = float(np.abs(dif.data).max()) if dif.nnz else 0.0
-    tab = op.coefficient_table()
-    m1 = tab.A11
-    m2 = tab.A11 * tab.A22 - tab.A12**2
-    m3 = (
-        tab.A11 * (tab.A22 * tab.A33 - tab.A23**2)
-        - tab.A12 * (tab.A12 * tab.A33 - tab.A23 * tab.A13)
-        + tab.A13 * (tab.A12 * tab.A23 - tab.A22 * tab.A13)
-    )
     return {
         "symmetry_defect": sym,
         "b_range": (float(op.B.min()), float(op.B.max())),
-        "minor_defects": (
-            float(np.abs(m1 - 1.0 / tab.p).max()),
-            float(np.abs(m2 - 1.0).max()),
-            float(np.abs(m3 - tab.p).max()),
-        ),
-        "positive_definite": bool(
-            m1.min() > 0 and m2.min() > 0 and m3.min() > 0
-        ),
     }
 
 

@@ -80,7 +80,9 @@ def test_defaults_are_filled(tmp_path):
     assert cfg.modes == [(1, 1)]
     assert cfg.epsilons is None
     assert cfg.prefix == "thinrod"
-    assert cfg.thresholds == {"slope_min": 1.5, "slope_max": 2.5,
+    # the gap window is (order - 1) -+ 0.5: a partial sum through
+    # lambda_{N-2} misses by O(eps^(N-1))
+    assert cfg.thresholds == {"slope_min": 2.5, "slope_max": 3.5,
                               "rho_slope_min": 1.5}
 
 
@@ -411,6 +413,45 @@ def test_main_exit_two_on_config_error(tmp_path, capsys):
     (failure,) = payload["failures"]
     assert failure["kind"] == "config"
     assert failure["path"] == "modes[0]"
+
+
+def _config_text(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda t: _config_text(t, "[1, 2]"), None),
+        (lambda t: t, None),
+        (lambda t: t / "absent.json", None),
+        (lambda t: _config_text(t, "{not json"), None),
+        (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": "pi"}}),
+         "curve.s0"),
+        (lambda t: write_config(t, {"M_s": 20.0}), "M_s"),
+        # build_frame's InvalidCurve, re-raised as a config error on "curve"
+        (lambda t: write_config(
+            t, {"curve": {**HELIX["curve"], "a": -1.0}}, base=HELIX), "curve"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "circular_arc", "s0": 2.0, "radius": 0.0}}),
+         "curve"),
+    ],
+    ids=["list", "directory", "missing", "invalid-json", "s0-string",
+         "M_s-float", "helix-negative-a", "arc-zero-radius"],
+)
+def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
+    # a config the parser refuses is one "config" failure naming the field,
+    # or the file itself when it cannot be read as a JSON object
+    path = make(tmp_path)
+    code, payload = run_main(
+        ["expand", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "config"
+    assert failure["path"] == (str(path) if field is None else field)
 
 
 def test_main_exit_two_on_section_above_spectral_cutoff(

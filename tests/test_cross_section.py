@@ -124,9 +124,15 @@ def test_stencil_symmetries():
 
 def test_deflated_resolvent_eigenbasis():
     s = solve_section(square_grid(1.0, 24), 4)
-    u = deflated_resolvent(s, 1, s.phi[1])
+    u, defect = deflated_resolvent(s, 1, s.phi[1])
     assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
     assert abs(s.h**2 * np.sum(u * s.phi[0])) < 1e-12
+    assert defect < 1e-14
+    # a 1e-10 part along phi_1 passes the 1e-8 check, is returned as the
+    # defect and is projected off: the solution is that of phi_2 alone
+    u, defect = deflated_resolvent(s, 1, s.phi[1] + 1e-10 * s.phi[0])
+    assert defect == pytest.approx(1e-10, rel=1e-5)
+    assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
 
 
 def test_deflated_resolvent_roundtrip():
@@ -135,13 +141,13 @@ def test_deflated_resolvent_roundtrip():
     w = rng.standard_normal(s.phi[0].size)
     w -= s.h**2 * np.sum(w * s.phi[0]) * s.phi[0]
     rhs = s.ops.S @ w - s.lam[0] * w
-    u = deflated_resolvent(s, 1, rhs)
+    u, _ = deflated_resolvent(s, 1, rhs)
     assert np.abs(u - w).max() < 1e-10 * np.abs(w).max()
 
 
 def test_deflated_resolvent_batch():
     s = solve_section(square_grid(1.0, 24), 3)
-    U = deflated_resolvent(s, 1, s.phi[1:3])
+    U, _ = deflated_resolvent(s, 1, s.phi[1:3])
     assert U.shape == (2, s.phi[0].size)
     assert np.abs(U[0] - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
 
@@ -164,7 +170,7 @@ def test_deflated_solve_residual_guard():
     rhs = s.phi[1] - w * np.sum(s.phi[1] * off) * off
     with pytest.raises(SolverFail, match="residual"):
         deflated_solve(s.ops.S, lam, off, w, rhs[None, :], 0.0, {}, 1)
-    u = deflated_solve(s.ops.S, lam, phi, w, s.phi[1:2], 0.0, {}, 1)
+    u, _ = deflated_solve(s.ops.S, lam, phi, w, s.phi[1:2], 0.0, {}, 1)
     assert np.abs(u[0] - s.phi[1] / (s.lam[1] - lam)).max() < 1e-12
 
 

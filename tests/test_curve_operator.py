@@ -85,15 +85,20 @@ def test_deflated_reduced_eigenbasis_and_roundtrip():
     )
     op = build_reduced(fr, 0.2)
     m1, m2 = solve_reduced(op, 2)
-    u = deflated_reduced_resolvent(op, m1, m2.Psi0)
+    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0)
+    assert defect < 1e-14
     assert np.abs(u - m2.Psi0 / (m2.lam0 - m1.lam0)).max() < 1e-10
     assert abs(op.h * np.sum(u[1:-1] * m1.Psi0[1:-1])) < 1e-12
+    # a 1e-10 part along Psi_1 is the returned defect and is projected off
+    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0 + 1e-10 * m1.Psi0)
+    assert defect == pytest.approx(1e-10, rel=1e-5)
+    assert np.abs(u - m2.Psi0 / (m2.lam0 - m1.lam0)).max() < 1e-10
 
     rng = np.random.default_rng(11)
     w = rng.standard_normal(op.s_grid.size - 2)
     w -= op.h * np.sum(w * m1.Psi0[1:-1]) * m1.Psi0[1:-1]
     rhs = op.matrix() @ w - m1.lam0 * w
-    u = deflated_reduced_resolvent(op, m1, rhs)
+    u, _ = deflated_reduced_resolvent(op, m1, rhs)
     assert u.size == w.size
     assert np.abs(u - w).max() < 1e-9 * np.abs(w).max()
 

@@ -1,9 +1,8 @@
 """Tests for the direct straightened-domain eigensolve.
 
 Expected values come from closed forms computed in each test: Kronecker-sum
-spectra for the straight rod, the exact geometric-series remainder for the
-coefficient table, and the quasimode distance bound, which is an identity
-for symmetric pencils.
+spectra for the straight rod and the quasimode distance bound, which is an
+identity for symmetric pencils.
 """
 
 import numpy as np
@@ -90,9 +89,6 @@ def test_straight_rod_assembles_to_kronecker_sum():
     dif = (op.H - ref).tocsr()
     assert dif.nnz == 0 or np.abs(dif.data).max() == 0.0
     assert np.all(op.B == 1.0)
-    tab = op.coefficient_table()
-    assert np.all(tab.A11 == 1.0) and np.all(tab.A22 == 1.0) and np.all(tab.A33 == 1.0)
-    assert np.all(tab.A12 == 0.0) and np.all(tab.A13 == 0.0) and np.all(tab.A23 == 0.0)
 
 
 def test_assemble_rejects_large_epsilon():
@@ -101,21 +97,6 @@ def test_assemble_rejects_large_epsilon():
     qmax = np.abs(grid.xi2).max() / 1.0  # |q| = |xi2| / R on the arc
     with pytest.raises(EpsilonOutOfRange):
         assemble(fr, grid, 0.5 / qmax * 1.05)
-
-
-def test_coefficient_taylor_remainder_is_geometric():
-    # |1/(1-x) - sum_{k<=3} x^k| = x^4/(1-x) exactly; the sup over nodes is
-    # attained at the most positive eps*q
-    fr = build_frame(CurveSpec("circular_arc", s0=2.0, radius=1.5), 24)
-    grid = square_grid(1.0, 12, center=(0.1, 0.0))
-    for eps in (0.1, 0.05, 0.025):
-        op = assemble(fr, grid, eps)
-        tab = op.coefficient_table()
-        x = eps * op.q
-        err = np.abs(tab.A11 - (1.0 + x + x**2 + x**3)).max()
-        ref = (x**4 / (1.0 - x)).max()
-        assert err == pytest.approx(ref, rel=1e-9)
-        assert err <= 1.1 * (eps * np.abs(op.q).max()) ** 4 / (1 - eps * np.abs(op.q).max())
 
 
 def test_weight_minimum_matches_tilt_maximum():
@@ -127,11 +108,9 @@ def test_weight_minimum_matches_tilt_maximum():
 
 def test_assembled_matrix_is_exactly_symmetric():
     op = _helix_op(eps=0.25)
-    checks = operator_checks(op)
-    assert checks["symmetry_defect"] == 0.0
-    assert checks["positive_definite"]
-    d1, d2, d3 = checks["minor_defects"]
-    assert d1 == 0.0 and d2 < 1e-13 and d3 < 1e-13
+    assert operator_checks(op)["symmetry_defect"] == 0.0
+    # positive definite: the dense Cholesky of the small H succeeds
+    np.linalg.cholesky(op.H.toarray())
 
 
 def test_series_defect_decays_geometrically():
