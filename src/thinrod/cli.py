@@ -37,11 +37,13 @@ Config schema (unknown fields are rejected, naming the offending path):
     }
 
 `verify` and `sweep` run one certification loop.  The section solve, the
-recurrences and the eigenpair count are computed once; then each epsilon,
-in order (a sweep goes from the largest down), is assembled, solved,
-optionally dumped and compared with the expansion before the next one
-starts, and its operator and solution are released once its rows exist.
-All result files are written at the end.
+recurrences, the eigenpair count and the pencil family (H's pattern, the
+start block's section modes, the preconditioner's section basis) are
+computed once; then each epsilon, in order (a sweep goes from the largest
+down), has its values filled in, is solved, optionally dumped and compared
+with the expansion before the next one starts, and its operator and
+solution are released once its rows exist.  All result files are written
+at the end.
 """
 
 from __future__ import annotations
@@ -486,10 +488,11 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     spectrum = _solve_spectrum(cfg)
     states = _run_states(cfg, spectrum)
     K = _auto_count(cfg, spectrum)
+    family = oracle.PencilFamily(cfg.frame, cfg.grid)
     lines = [_VERIFY_HEADER]
     rows, failures, window_warnings = [], [], []
     for eps in eps_list:
-        op = oracle.assemble(cfg.frame, cfg.grid, eps)
+        op = family.assemble(eps)
         sol = oracle.solve_direct(
             op, K, tol=cfg.solver["tol"], maxiter=cfg.solver["maxiter"]
         )
@@ -621,14 +624,14 @@ def _selftest_checks():
         assert all(st.lam_i(i) == 0.0 for i in range(1, st.N - 1)), (
             "corrections above order zero must vanish"
         )
-        assert st.max_defect == 0.0
+        assert st.max_defect == 0.0, f"solvability defect {st.max_defect!r}, not 0"
 
     @check("lambda_{-1} vanishes identically on a curved rod")
     def _(tmp):
         fr = build_frame(CurveSpec("circular_arc", s0=2.0, radius=1.5), 20)
         spec = solve_section(square_grid(1.0, 10, center=(0.1, 0.0)), 2)
         st = engine.run_recurrence(fr, spec, 1, 1, 3)
-        assert st.lam_i(-1) == 0.0
+        assert st.lam_i(-1) == 0.0, f"lambda_{{-1}} = {st.lam_i(-1)!r}, not 0"
 
     @check("assembled pencil is exactly symmetric and positive")
     def _(tmp):
@@ -638,10 +641,14 @@ def _selftest_checks():
         )
         op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
         res = oracle.operator_checks(op)
-        assert res["symmetry_defect"] == 0.0
+        assert res["symmetry_defect"] == 0.0, (
+            f"symmetry defect {res['symmetry_defect']!r}, not 0"
+        )
         np.linalg.cholesky(op.H.toarray())  # raises unless H is positive definite
         lo, hi = res["b_range"]
-        assert 0.5 < lo <= hi < 1.5
+        assert 0.5 < lo <= hi < 1.5, (
+            f"weight range ({lo!r}, {hi!r}) not inside (1/2, 3/2)"
+        )
 
     @check("direct solve reproduces the separable spectrum")
     def _(tmp):
@@ -661,7 +668,7 @@ def _selftest_checks():
         rho, ok = oracle.residual_certificate(
             op, float(sol.lam[0]), sol.vectors[:, 0], sol
         )
-        assert rho < 1e-8 and ok is True
+        assert rho < 1e-8 and ok is True, f"rho {rho:.3e}, bound check {ok}"
 
     @check("closed-form lambda_1 matches the recurrence")
     def _(tmp):
@@ -681,7 +688,8 @@ def _selftest_checks():
             20,
         )
         op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
-        assert oracle.series_defect(op, 12) < 1e-9
+        defect = oracle.series_defect(op, 12)
+        assert defect < 1e-9, f"series defect {defect:.3e} at order 12, limit 1e-9"
 
     @check("expansion output is byte-identical across reruns")
     def _(tmp):

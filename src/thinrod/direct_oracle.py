@@ -13,17 +13,25 @@ shared with :mod:`thinrod.asymptotic_engine`:
     B(eps) = diag(1 - eps q)
 
 with q = kappa1 xi2 - kappa2 xi3 and R the discrete angular derivative.
-Every block is assembled in divergence (flux) form with midpoint coefficient
+Every block is in divergence (flux) form with midpoint coefficient
 averaging, so H is symmetric; because q is affine on the section, the
-transverse block collapses exactly to a Kronecker combination of the shared
-section stencils, which keeps the two computation routes on identical
-discrete operators.  Expanding the coefficients in powers of eps reproduces,
-order by order, the operators applied by the asymptotic engine; that identity
-is exposed as :func:`series_defect` and checked in the test-suite.
+transverse block collapses exactly to a combination of the shared section
+stencils, which keeps the two computation routes on identical discrete
+operators.  Expanding the coefficients in powers of eps reproduces, order
+by order, the operators applied by the asymptotic engine; that identity is
+exposed as :func:`series_defect` and checked in the test-suite.
 
 Unknowns are the interior nodes in every direction, ordered s-major
 (flat index = s_index * n_omega + section_index), matching
 ``field[1:-1].reshape(-1)`` for the engine's full-grid fields.
+
+Only the coefficients depend on eps.  A :class:`PencilFamily` holds
+everything else for one (frame, grid): H's sparsity pattern (three s-slab
+row layouts, int32), the section-sized maps from per-node coefficients to
+block values, the start block's section modes and the preconditioner's
+section basis.  A run that solves several eps builds one family and fills
+only H.data per eps; :func:`assemble` is the one-off form of the same
+path.
 
 The separable part of the pencil, eps^-2 S (x) I + I (x) D_s, has the
 two-parametric spectrum eps^-2 lambda_n(omega) + theta_m, one rung per
@@ -34,13 +42,14 @@ denominators, the straight-rod reference and the CLI's eigenpair count all
 read that definition.
 
 Solves are deterministic: the starting block is the lowest rungs of the
-ladder (1D sine profiles times section modes solved sparsely on the
-operator's grid) and one block LOBPCG run, implemented here, is
-preconditioned by the exact shifted inverse of the separable part (section
-eigenbasis times a sine transform along the axis, applied as matrix
-products).  On a full rectangular mask the section eigenbasis is itself a
-product of two sine transforms with closed-form eigenvalues; any other mask
-takes a dense eigenbasis from eigh.  The run stops as soon as the K
+ladder (1D sine profiles times section modes, solved sparsely once per
+family) and one block LOBPCG run, implemented here, is preconditioned by
+the exact shifted inverse of the separable part (section eigenbasis times
+a sine transform along the axis, applied as matrix products).  On a full
+rectangular mask the section eigenbasis is itself a product of two sine
+transforms with closed-form eigenvalues; any other mask takes a dense
+eigenbasis from eigh, once per family, on the first preconditioner apply.
+Only the denominators depend on eps.  The run stops as soon as the K
 requested pairs reach a quarter of the target below; the guard columns
 beyond K only set the window edge and are not required to converge.
 Non-rectangular sections with more than 4096 interior nodes are too large
@@ -96,16 +105,282 @@ _MACH = float(np.finfo(float).eps)
 # ----------------------------------------------------------------------
 
 
+def _pattern(*mats) -> sp.csr_matrix:
+    """Structural union of section matrices: CSR, sorted, no cancellation
+    (the absolute values are summed), data not meaningful."""
+    P = abs(mats[0])
+    for A in mats[1:]:
+        P = P + abs(A)
+    P = P.tocsr()
+    P.sum_duplicates()
+    P.sort_indices()
+    return P
+
+
+def _entry_index(P: sp.csr_matrix, rows, cols) -> np.ndarray:
+    """Position in P.data of each (row, col), which must be in P's pattern."""
+    nw = P.shape[1]
+    key = np.repeat(np.arange(nw, dtype=np.int64), np.diff(P.indptr)) * nw + P.indices
+    return np.searchsorted(key, np.asarray(rows, np.int64) * nw + cols)
+
+
+def _on_pattern(P: sp.csr_matrix, A) -> np.ndarray:
+    """The values of A (pattern inside P's) aligned with P.data."""
+    A = sp.coo_matrix(A)
+    out = np.zeros(P.nnz)
+    np.add.at(out, _entry_index(P, A.row, A.col), A.data)
+    return out
+
+
+def _slab_layout(blocks):
+    """Row layout of one s-slab whose rows concatenate the given section
+    patterns, each (pattern, column offset).  Returns the position of every
+    pattern entry inside the slab's data segment (int32, one array per
+    block), the segment's column indices (offset included) and row lengths.
+    """
+    lens = [np.diff(P.indptr) for P, _ in blocks]
+    row_len = np.sum(lens, axis=0)
+    start = np.concatenate([[0], np.cumsum(row_len)[:-1]])
+    cols = np.empty(int(row_len.sum()), dtype=np.int32)
+    positions = []
+    for (P, offset), ln in zip(blocks, lens):
+        rows = np.repeat(np.arange(ln.size), ln)
+        pos = start[rows] + np.arange(P.nnz) - P.indptr[rows]
+        cols[pos] = P.indices + offset
+        positions.append(pos.astype(np.int32))
+        start = start + ln
+    return positions, cols, row_len
+
+
+class PencilFamily:
+    """Everything about the pencil on one (frame, grid) that does not
+    depend on eps, built once so that each eps only fills values.
+
+    H is block tridiagonal in the s-slabs.  Every diagonal block has the
+    section pattern of S and R^T R, every off-diagonal block that of R and
+    I, so H's CSR pattern (int32 indices and row pointer, shared by every
+    pencil of the family) is three slab row layouts: the first slab, each
+    interior one and the last.  On slab i, with c = 1 / (1 - eps q_mid) on
+    the s-edges and (k3 / p) on the nodes, the blocks are
+
+      (i, i)    eps^-2 S - eps^-1 (k1 G2 + k2 G3) + R^T (k3^2 / p) R
+                + diag(c_{i-1/2} + c_{i+1/2}) / h_s^2
+      (i, i+1)  -diag(c_{i+1/2}) / h_s^2
+                - [R diag(k3/p)_i + diag(k3/p)_{i+1} R] / (2 h_s)
+
+    The transverse flux with edge weight p = 1 - eps q is exactly
+    eps^-2 S - eps^-1 [kappa1 G2 + kappa2 G3] because q is affine on the
+    section, with G2 = xi2 S - D2 and G3 = D3 - xi3 S averaged with their
+    transposes.  Each block is linear in its coefficients, so one
+    section-sized sparse map per block kind takes a stack of coefficient
+    rows (one column per slab) to the values of every slab at once: a fill
+    is two sparse products and the scatters into H.data, with slab-sized
+    index arrays.  Only the upper triangle of a diagonal block is computed
+    and it is written to both triangles, and each lower off-diagonal block
+    is the mirror of the upper one, so H is exactly symmetric as stored.
+    A straight rod has no bend terms and an untwisted one no R terms, and
+    their pattern leaves those out, so H holds no explicit zeros.
+
+    The family also keeps what the eigensolve reuses at every eps: the
+    start block's section modes (one sparse section solve per mode count)
+    and the preconditioner's section basis and axial sine transform (built
+    on the first preconditioner apply).
+    """
+
+    def __init__(self, frame: FrameField, grid: SectionGrid):
+        self.frame, self.grid = frame, grid
+        self.q = engine._tilt(frame, grid)
+        self._modes: dict = {}
+        k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
+        ms, nw = frame.s_grid.size - 2, grid.n_interior
+        hs = frame.h
+        self._bend = max(np.abs(k1).max(), np.abs(k2).max()) > 0.0
+        self._twist = np.abs(k3).max() > 0.0
+        ops = build_operators(grid)
+        I_w = sp.identity(nw, format="csr")
+        R = ops.R
+
+        # diagonal blocks: pattern, and the map from coefficient rows to
+        # the upper triangle (strict upper entries first, then the diagonal)
+        Pd = _pattern(ops.S, R.T @ R) if self._twist else _pattern(ops.S)
+        row_d = np.repeat(np.arange(nw), np.diff(Pd.indptr))
+        strict = np.flatnonzero(Pd.indices > row_d)
+        upper = np.concatenate([strict, np.flatnonzero(Pd.indices == row_d)])
+        stencils = [ops.S]
+        if self._bend:
+            G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
+            G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
+            stencils += [(G2 + G2.T) * 0.5, (G3 + G3.T) * 0.5]
+        cols = [sp.csr_matrix(np.column_stack([_on_pattern(Pd, A)[upper]
+                                               for A in stencils]))]
+        if self._twist:
+            # R^T diag(c) R at (a, e) is the sum over b of R[b, a] R[b, e] c_b:
+            # one term per pair (t, u) of stored entries in the same row b
+            Rc = R.tocoo()
+            row = sp.csr_matrix((np.ones(Rc.nnz), (np.arange(Rc.nnz), Rc.row)),
+                                shape=(Rc.nnz, nw))
+            pairs = (row @ row.T).tocoo()
+            t, u = pairs.row, pairs.col
+            rr = sp.csr_matrix(
+                (Rc.data[t] * Rc.data[u],
+                 (_entry_index(Pd, Rc.col[t], Rc.col[u]), Rc.row[t])),
+                shape=(Pd.nnz, nw),
+            )
+            cols.append(rr[upper])
+        cols.append(sp.csr_matrix(
+            (np.ones(nw), (np.arange(strict.size, upper.size), np.arange(nw))),
+            shape=(upper.size, nw),
+        ))
+        self._diag_map = sp.hstack(cols, format="csr")
+
+        # off-diagonal blocks (i, i+1)
+        Po = _pattern(I_w, R) if self._twist else _pattern(I_w)
+        row_o, col_o = np.repeat(np.arange(nw), np.diff(Po.indptr)), Po.indices
+        ident = _entry_index(Po, np.arange(nw), np.arange(nw))
+        cols = [sp.csr_matrix((np.ones(nw), (ident, np.arange(nw))),
+                              shape=(Po.nnz, nw))]
+        if self._twist:
+            r = _on_pattern(Po, R) * (-0.5 / hs)
+            for node in (col_o, row_o):  # (k3/p)_i at b, (k3/p)_{i+1} at a
+                cols.append(sp.csr_matrix((r, (np.arange(Po.nnz), node)),
+                                          shape=(Po.nnz, nw)))
+        self._off_map = sp.hstack(cols, format="csr")
+        mirror = _entry_index(Po, col_o, row_o)  # entry (a, b) -> entry (b, a)
+
+        # the three slab layouts and H's pattern
+        (first_d, first_up), first_cols, first_len = _slab_layout(
+            [(Pd, 0), (Po, nw)])
+        (mid_lo, mid_d, mid_up), mid_cols, mid_len = _slab_layout(
+            [(Po, 0), (Pd, nw), (Po, 2 * nw)])
+        (last_lo, last_d), last_cols, last_len = _slab_layout([(Po, 0), (Pd, nw)])
+        lower = _entry_index(Pd, Pd.indices[strict], row_d[strict])  # mirrors
+        self._first = (first_d[upper], first_d[lower], first_up)
+        self._mid = (mid_d[upper], mid_d[lower], mid_up, mid_lo[mirror])
+        self._last = (last_d[upper], last_d[lower], last_lo[mirror])
+        self._seg = (first_cols.size, mid_cols.size, last_cols.size)
+
+        nnz = first_cols.size + (ms - 2) * mid_cols.size + last_cols.size
+        if nnz >= 2**31:
+            raise SolverFail(f"H would have {nnz} nonzeros, past int32 indices")
+        self.indices = np.empty(nnz, dtype=np.int32)
+        self.indices[: first_cols.size] = first_cols
+        mid = self.indices[first_cols.size : nnz - last_cols.size]
+        np.add(
+            mid_cols[None, :],
+            (np.arange(ms - 2, dtype=np.int32) * nw)[:, None],
+            out=mid.reshape(ms - 2, mid_cols.size),
+        )
+        self.indices[nnz - last_cols.size :] = last_cols + (ms - 2) * nw
+        self.indptr = np.zeros(ms * nw + 1, dtype=np.int32)
+        lens = np.concatenate([first_len, np.tile(mid_len, ms - 2), last_len])
+        np.cumsum(lens.astype(np.int32), out=self.indptr[1:])
+
+    def section_modes(self, count: int):
+        """The lowest `count` section eigenpairs, solved once per count."""
+        if count not in self._modes:
+            self._modes[count] = solve_section(self.grid, count)
+        return self._modes[count]
+
+    @functools.cached_property
+    def section_basis(self):
+        """(lam_sec, to_modes, from_modes) of the section Laplacian S, the
+        eps-independent part of the preconditioner (see
+        :func:`_separable_preconditioner`)."""
+        grid, nw = self.grid, self.grid.n_interior
+        if grid.mask.all():
+            n2, n3 = grid.mask.shape
+            lam_sec = (
+                _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
+                + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
+            ).ravel()
+            sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
+
+            def to_modes(U):  # sine2 (x) sine3, symmetric and its own inverse
+                cols = U.shape[1]
+                U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
+                return (sine3 @ U).reshape(nw, cols)
+
+            return lam_sec, to_modes, to_modes
+        if nw > _SPECTRAL_CUTOFF:
+            raise _section_too_large(nw)
+        lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
+        return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
+
+    @functools.cached_property
+    def axial_sine(self) -> np.ndarray:
+        """The orthonormal sine transform along the interior s-nodes."""
+        return _sine_matrix(self.frame.s_grid.size - 2)
+
+    def assemble(self, eps: float) -> "TransformedOperator":
+        """The pencil at `eps`: a fresh H.data on the family's pattern.
+
+        Requires eps * max|q| < 1/2 (else EpsilonOutOfRange), so the weight
+        1 - eps q stays in [1/2, 3/2].
+        """
+        q, frame = self.q, self.frame
+        engine.check_epsilon(q, eps)
+        k1, k2, k3 = frame.kappa1[1:-1], frame.kappa2[1:-1], frame.kappa3[1:-1]
+        ms, nw, hs = q.shape[0] - 2, q.shape[1], frame.h
+
+        # edge coefficient of the flux along s, boundary edges included
+        c_s = 1.0 / (1.0 - eps * (0.5 * (q[:-1] + q[1:])))  # (M_s - 1, n_omega)
+        p_int = 1.0 - eps * q[1:-1]
+        coef = [np.full((1, ms), eps**-2.0)]
+        if self._bend:
+            coef += [-k1[None, :] / eps, -k2[None, :] / eps]
+        if self._twist:
+            coef.append((k3[:, None] ** 2 / p_int).T)
+        coef.append(((c_s[:-1] + c_s[1:]) / hs**2).T)
+        Du = (self._diag_map @ np.vstack(coef)).T  # (ms, upper entries)
+        coef = [(-c_s[1:-1] / hs**2).T]
+        if self._twist:
+            c = (k3[:, None] / p_int).T
+            coef += [c[:, :-1], c[:, 1:]]
+        Ov = (self._off_map @ np.vstack(coef)).T  # (ms - 1, R u I entries)
+
+        data = np.empty(self.indices.size)
+        n0, n_mid, n1 = self._seg
+        first, last = data[:n0], data[data.size - n1 :]
+        mid = data[n0 : data.size - n1].reshape(ms - 2, n_mid)
+        up, low, off = self._first
+        first[up], first[low], first[off] = Du[0], Du[0, : low.size], Ov[0]
+        up, low, off_up, off_lo = self._mid
+        mid[:, up] = Du[1:-1]
+        mid[:, low] = Du[1:-1, : low.size]
+        mid[:, off_up] = Ov[1:]
+        mid[:, off_lo] = Ov[:-1]
+        up, low, off = self._last
+        last[up], last[low], last[off] = Du[-1], Du[-1, : low.size], Ov[-1]
+
+        n = ms * nw
+        H = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        H.has_sorted_indices = True
+        return TransformedOperator(
+            eps=float(eps), family=self, H=H, B=p_int.reshape(-1).copy()
+        )
+
+
 @dataclass
 class TransformedOperator:
     """Sparse symmetric pencil (H, B) for one rod geometry and eps."""
 
     eps: float
-    frame: FrameField
-    grid: SectionGrid
+    family: PencilFamily
     H: sp.csr_matrix
     B: np.ndarray  # diagonal of the weight matrix, interior tensor nodes
-    q: np.ndarray  # full-grid (M_s, n_omega) tilt field
+
+    @property
+    def frame(self) -> FrameField:
+        return self.family.frame
+
+    @property
+    def grid(self) -> SectionGrid:
+        return self.family.grid
+
+    @property
+    def q(self) -> np.ndarray:
+        """Full-grid (M_s, n_omega) tilt field."""
+        return self.family.q
 
     @property
     def M_s(self) -> int:
@@ -143,75 +418,14 @@ def to_field(op: TransformedOperator, vec: np.ndarray) -> np.ndarray:
 def assemble(frame: FrameField, grid: SectionGrid, eps: float) -> TransformedOperator:
     """Build the sparse symmetric pencil (H(eps), B(eps)) on the section grid.
 
-    Requires eps * max|q| < 1/2 so the weight 1 - eps q stays in [1/2, 3/2];
-    raises EpsilonOutOfRange otherwise.  Dirichlet rows are eliminated:
-    unknowns are interior nodes only.  H is exactly symmetric as stored.
-    The operator carries no section modes; whatever needs them solves them
-    from its grid.
+    The library entry point for one pencil: a one-off :class:`PencilFamily`
+    filled at eps.  A caller that solves several eps on the same (frame,
+    grid) builds the family once and calls its `assemble` per eps instead.
+    Requires eps * max|q| < 1/2 (else EpsilonOutOfRange).  Dirichlet rows
+    are eliminated: unknowns are interior nodes only.  H is exactly
+    symmetric as stored.
     """
-    ops = build_operators(grid)
-    k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
-    q = engine._tilt(frame, grid)
-    engine.check_epsilon(q, eps)
-
-    M_s, n_omega = frame.s_grid.size, grid.n_interior
-    ms = M_s - 2
-    hs = frame.h
-    I_s = sp.identity(ms, format="csr")
-    I_w = sp.identity(n_omega, format="csr")
-
-    # flux along s: edge coefficient 1/(1 - eps * mean of nodal q),
-    # boundary edges included (they reach the zero end rows).
-    q_mid = 0.5 * (q[:-1] + q[1:])
-    c_s = 1.0 / (1.0 - eps * q_mid)  # (M_s - 1, n_omega)
-    diag0 = ((c_s[:-1] + c_s[1:]) / hs**2).ravel()
-    diag1 = (-c_s[1:-1] / hs**2).ravel()
-    H = sp.diags([diag1, diag0, diag1], [-n_omega, 0, n_omega], format="csr")
-
-    # transverse flux, edge weight p = 1 - eps q.  Because q is affine on
-    # the section, the edge-midpoint flux form equals
-    #   eps^-2 S - eps^-1 [kappa1 (X2 S - D2) + kappa2 (D3 - X3 S)]
-    # exactly, including boundary edges; the small section factors are
-    # averaged with their transposes once to pin down exact symmetry.
-    H = H + sp.kron(I_s, ops.S, format="csr") * (eps**-2.0)
-    if max(np.abs(k1).max(), np.abs(k2).max()) > 0.0:
-        G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
-        G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
-        G2 = ((G2 + G2.T) * 0.5).tocsr()
-        G3 = ((G3 + G3.T) * 0.5).tocsr()
-        bend = sp.kron(sp.diags(k1[1:-1]), G2, format="csr") + sp.kron(
-            sp.diags(k2[1:-1]), G3, format="csr"
-        )
-        H = H - bend * (1.0 / eps)
-
-    # twist blocks, nodal coefficients on interior rows.
-    if np.abs(k3).max() > 0.0:
-        p_int = 1.0 - eps * q[1:-1]
-        D_s = sp.diags(
-            [np.full(ms - 1, -0.5 / hs), np.full(ms - 1, 0.5 / hs)],
-            [-1, 1],
-            format="csr",
-        )
-        R_blk = sp.kron(I_s, ops.R, format="csr")
-        C1 = sp.diags((k3[1:-1, None] / p_int).ravel())
-        T = R_blk @ (C1 @ sp.kron(D_s, I_w, format="csr"))
-        H = H - (T + T.T)
-        C2 = sp.diags((k3[1:-1, None] ** 2 / p_int).ravel())
-        rmr = (R_blk.T @ (C2 @ R_blk)).tocsr()
-        H = H + (rmr + rmr.T) * 0.5
-
-    H = H.tocsr()
-    H.sum_duplicates()
-    H.sort_indices()
-    B = (1.0 - eps * q[1:-1]).reshape(-1).copy()
-    return TransformedOperator(
-        eps=float(eps),
-        frame=frame,
-        grid=grid,
-        H=H,
-        B=B,
-        q=q,
-    )
+    return PencilFamily(frame, grid).assemble(eps)
 
 
 def operator_checks(op: TransformedOperator) -> dict:
@@ -354,11 +568,12 @@ def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
     """Separable starting vectors: the nb lowest rungs of the ladder.
 
     Each column is a 1D sine profile times a section mode.  The section
-    modes are solved sparsely on the operator's grid, the same way at every
-    section size; nb <= n / 4 (the solver's block limit) guarantees the
-    ladder has nb rungs.
+    modes come from the operator's family, which solves them sparsely once
+    for every eps it assembles (the same way at every section size); only
+    the ladder's order depends on eps.  nb <= n / 4 (the solver's block
+    limit) guarantees the ladder has nb rungs.
     """
-    spectrum = solve_section(op.grid, min(nb, op.n_omega - 2))
+    spectrum = op.family.section_modes(min(nb, op.n_omega - 2))
     ladder = separable_ladder(op.frame, spectrum.lam, op.eps, min(nb, op.M_s - 2))
     s_int = op.frame.s_grid[1:-1]
     X = np.empty((op.n, nb))
@@ -422,50 +637,31 @@ def _separable_preconditioner(op: TransformedOperator):
     1964); any other mask gets a dense eigenbasis from LAPACK's
     divide-and-conquer eigh (driver "evd"), several times faster than the
     default MRRR driver on the section Laplacian's clustered spectrum.
-    Fully deterministic.  The basis stays inside the returned
-    LinearOperator and is built on its first apply, so a solve that never
-    applies the operator skips it (the straight untwisted rod, whose start
-    block is already converged).  On a non-rectangular section with more
+    Fully deterministic.  The section basis and the axial sine transform
+    do not depend on eps and are the family's (:attr:`PencilFamily.
+    section_basis`, :attr:`PencilFamily.axial_sine`): built on the first
+    apply of any preconditioner of the family, so a sweep builds them once
+    and a solve that never applies the operator skips them (the straight
+    untwisted rod, whose start block is already converged).  Only the
+    denominators are per operator.  On a non-rectangular section with more
     than _SPECTRAL_CUTOFF interior nodes that first apply raises the
     SolverFail of :func:`_check_section_size` instead.
     """
     ms, nw = op.M_s - 2, op.n_omega
 
     @functools.cache
-    def basis():
-        grid = op.grid
-        if grid.mask.all():
-            n2, n3 = grid.mask.shape
-            lam_sec = (
-                _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
-                + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
-            ).ravel()
-            sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
-
-            def to_modes(U):  # sine2 (x) sine3, symmetric and its own inverse
-                cols = U.shape[1]
-                U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
-                return (sine3 @ U).reshape(nw, cols)
-
-            from_modes = to_modes
-        else:
-            if nw > _SPECTRAL_CUTOFF:
-                raise _section_too_large(nw)
-            lam_sec, Phi = scipy.linalg.eigh(
-                laplacian(grid).toarray(), driver="evd"
-            )
-            to_modes = np.ascontiguousarray(Phi.T).__matmul__
-            from_modes = Phi.__matmul__
+    def scaled():
+        lam_sec, to_modes, from_modes = op.family.section_basis
         sigma = op.eps**-2.0 * lam_sec.min()
         inv_denom = 1.0 / (
             op.eps**-2.0 * lam_sec[:, None]
             + _dirichlet_eigenvalues(op.frame.h, op.frame.s0, ms)[None, :]
             - sigma
         )  # (n_omega, ms)
-        return _sine_matrix(ms), to_modes, from_modes, inv_denom
+        return op.family.axial_sine, to_modes, from_modes, inv_denom
 
     def apply(X):
-        sine, to_modes, from_modes, inv_denom = basis()
+        sine, to_modes, from_modes, inv_denom = scaled()
         k = X.size // op.n
         U = sine @ X.reshape(ms, nw * k)
         U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)
@@ -554,6 +750,23 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
         AX += AS @ Zs
 
 
+_NORM_SLICE = 2**20  # entries of H.data per slice of _inf_norm
+
+
+def _inf_norm(H: sp.csr_matrix) -> float:
+    """max_i sum_j |H_ij|, from the CSR row segments of H.data, a slice of
+    about _NORM_SLICE entries at a time, so no copy of H is made."""
+    n, ptr = H.shape[0], H.indptr
+    step = max(1, (_NORM_SLICE * n) // max(1, H.nnz))  # rows per slice
+    best = 0.0
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        rows = np.repeat(np.arange(r1 - r0), np.diff(ptr[r0 : r1 + 1]))
+        seg = np.abs(H.data[ptr[r0] : ptr[r1]])
+        best = max(best, float(np.bincount(rows, seg, r1 - r0).max(initial=0.0)))
+    return best
+
+
 _MIN_GUARDS = 3
 
 
@@ -599,7 +812,7 @@ def solve_direct(
         raise ValueError(f"K = {K} too large for {n} unknowns")
     _check_section_size(op.frame, op.grid)
     H, Bd = op.H, op.B
-    hnorm = float(np.abs(H).sum(axis=1).max())
+    hnorm = _inf_norm(H)
     target = max(tol, 8 * _MACH * hnorm)
     if K > max_pairs(n):
         raise SolverFail(

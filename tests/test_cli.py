@@ -43,6 +43,11 @@ DISK_HELIX = {
 }
 
 
+# five points on the unit helix (pitch 0.15 per 0.3 rad)
+HELIX_POINTS = [[1.0, 0.0, 0.0], [0.9553, 0.2955, 0.15], [0.8253, 0.5646, 0.3],
+                [0.6216, 0.7833, 0.45], [0.3624, 0.932, 0.6]]
+
+
 def write_config(tmp_path, overrides=None, base=STRAIGHT, name="cfg.json"):
     cfg = json.loads(json.dumps(base))
     for key, value in (overrides or {}).items():
@@ -437,9 +442,25 @@ def _config_text(tmp_path, text):
         (lambda t: write_config(
             t, {"curve": {"kind": "circular_arc", "s0": 2.0, "radius": 0.0}}),
          "curve"),
+        # geometry's own checks of a sampled curve, the twist kind and s0
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": HELIX_POINTS[:3]}}),
+         "curve"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": [
+                *HELIX_POINTS[:2], HELIX_POINTS[1], *HELIX_POINTS[2:]]}}),
+         "curve"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": 3.0, "twist": "spiral"}}),
+         "curve"),
+        (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": 0.0}}),
+         "curve"),
+        (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": -1.0}}),
+         "curve"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
-         "M_s-float", "helix-negative-a", "arc-zero-radius"],
+         "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
+         "sampled-duplicate-point", "twist-spiral", "s0-zero", "s0-negative"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,
@@ -467,6 +488,7 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     monkeypatch.setattr(cli, "solve_section", unreachable)
     monkeypatch.setattr(cli.engine, "run_recurrence", unreachable)
     monkeypatch.setattr(cli.oracle, "assemble", unreachable)
+    monkeypatch.setattr(cli.oracle, "PencilFamily", unreachable)
     for command, eps in (("verify", 0.2), ("sweep", [0.2, 0.1])):
         path = write_config(
             tmp_path, {"epsilon": eps}, base=DISK_HELIX
@@ -691,6 +713,23 @@ def test_main_selftest_passes(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "thinrod_selftest.json").read_text())
     assert report["ok"] is True
+
+
+def test_selftest_failure_reports_the_measured_value(tmp_path, capsys, monkeypatch):
+    # a failed check names what it measured, on the console and in the report
+    checks = cli.oracle.operator_checks
+    monkeypatch.setattr(
+        cli.oracle, "operator_checks", lambda op: {**checks(op), "symmetry_defect": 1.0}
+    )
+    code = cli.main(["selftest", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    name = "assembled pencil is exactly symmetric and positive"
+    assert f"FAIL (symmetry defect 1.0, not 0) {name}" in out.splitlines()
+    report = json.loads((tmp_path / "thinrod_selftest.json").read_text())
+    (failure,) = report["failures"]
+    assert failure == {"kind": "selftest", "name": name,
+                       "message": "symmetry defect 1.0, not 0"}
 
 
 # ----------------------------------------------------------------------

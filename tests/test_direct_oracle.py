@@ -2,7 +2,9 @@
 
 Expected values come from closed forms computed in each test: Kronecker-sum
 spectra for the straight rod and the quasimode distance bound, which is an
-identity for symmetric pencils.
+identity for symmetric pencils.  The pencil family's H is checked against
+a full-size Kronecker assembly kept here as the reference, as the solves
+are checked against a dense eigh.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import scipy.sparse as sp
 from thinrod import asymptotic_engine as engine
 from thinrod import direct_oracle
 from thinrod.cross_section import (
+    build_operators,
     disk_grid,
     laplacian,
     mask_grid,
@@ -55,20 +58,102 @@ def _dense_reference(op, k):
     )
 
 
-def _helix_op(eps=0.25, n=12, M_s=24, kind="square"):
+def _helix(n=12, M_s=24, kind="square"):
     fr = build_frame(
         CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6),
         M_s,
     )
     center = (0.12, -0.07)
     if kind == "disk":
-        return assemble(fr, disk_grid(0.5, n, center=center), eps)
-    return assemble(fr, square_grid(1.0, n, center=center), eps)
+        return fr, disk_grid(0.5, n, center=center)
+    return fr, square_grid(1.0, n, center=center)
+
+
+def _helix_op(eps=0.25, n=12, M_s=24, kind="square"):
+    return assemble(*_helix(n, M_s, kind), eps)
+
+
+def _kron_assembly(frame, grid, eps):
+    """H(eps) as a chain of full-size Kronecker products and sparse sums,
+    term by term as written in the direct_oracle module notes."""
+    ops = build_operators(grid)
+    k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
+    q = engine._tilt(frame, grid)
+    ms, nw, hs = frame.s_grid.size - 2, grid.n_interior, frame.h
+    I_s = sp.identity(ms, format="csr")
+    I_w = sp.identity(nw, format="csr")
+    c_s = 1.0 / (1.0 - eps * 0.5 * (q[:-1] + q[1:]))
+    diag0 = ((c_s[:-1] + c_s[1:]) / hs**2).ravel()
+    diag1 = (-c_s[1:-1] / hs**2).ravel()
+    H = sp.diags([diag1, diag0, diag1], [-nw, 0, nw], format="csr")
+    H = H + sp.kron(I_s, ops.S, format="csr") * (eps**-2.0)
+    if max(np.abs(k1).max(), np.abs(k2).max()) > 0.0:
+        G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
+        G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
+        G2 = ((G2 + G2.T) * 0.5).tocsr()
+        G3 = ((G3 + G3.T) * 0.5).tocsr()
+        bend = sp.kron(sp.diags(k1[1:-1]), G2) + sp.kron(sp.diags(k2[1:-1]), G3)
+        H = H - bend * (1.0 / eps)
+    if np.abs(k3).max() > 0.0:
+        p_int = 1.0 - eps * q[1:-1]
+        D_s = sp.diags([np.full(ms - 1, -0.5 / hs), np.full(ms - 1, 0.5 / hs)], [-1, 1])
+        R_blk = sp.kron(I_s, ops.R, format="csr")
+        T = R_blk @ (sp.diags((k3[1:-1, None] / p_int).ravel()) @ sp.kron(D_s, I_w))
+        H = H - (T + T.T)
+        rmr = R_blk.T @ (sp.diags((k3[1:-1, None] ** 2 / p_int).ravel()) @ R_blk)
+        H = H + (rmr + rmr.T) * 0.5
+    H = H.tocsr()
+    H.sum_duplicates()
+    H.sort_indices()
+    return H
+
+
+# the four kinds of rod the family's pattern distinguishes
+RODS = {
+    "straight": lambda: (build_frame(CurveSpec("straight", s0=np.pi), 20),
+                         square_grid(1.0, 10), 0.1),
+    "straight-twisted": lambda: (
+        build_frame(CurveSpec("straight", s0=np.pi, twist="linear",
+                              twist_rate=0.8), 20),
+        square_grid(1.0, 10), 0.2),
+    "helix-square": lambda: (*_helix(), 0.25),
+    "helix-disk": lambda: (*_helix(kind="disk"), 0.25),
+}
 
 
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rod", sorted(RODS))
+def test_family_matches_the_kronecker_assembly(rod):
+    # same pattern (no explicit zeros for absent bend or twist terms, so
+    # equal nnz) and the same values to rounding, exactly symmetric
+    frame, grid, eps = RODS[rod]()
+    ref = _kron_assembly(frame, grid, eps)
+    op = assemble(frame, grid, eps)
+    assert op.H.nnz == ref.nnz
+    assert np.array_equal(op.H.indptr, ref.indptr)
+    assert np.array_equal(op.H.indices, ref.indices)
+    scale = np.abs(ref.data).max()
+    assert np.abs(op.H.data - ref.data).max() <= 8 * np.finfo(float).eps * scale
+    assert operator_checks(op)["symmetry_defect"] == 0.0
+
+
+def test_family_fills_each_eps_as_a_one_off_assembly():
+    # one family carries no values from one eps to the next, and its
+    # pencils share the family's int32 pattern
+    frame, grid = _helix(kind="disk")
+    family = direct_oracle.PencilFamily(frame, grid)
+    for eps in (0.25, 0.1, 0.05):
+        op = family.assemble(eps)
+        one_off = assemble(frame, grid, eps)
+        assert np.array_equal(op.H.data, one_off.H.data)
+        assert np.array_equal(op.B, one_off.B)
+        assert np.shares_memory(op.H.indices, family.indices)
+        assert np.shares_memory(op.H.indptr, family.indptr)
+        assert op.H.indices.dtype == np.int32
 
 
 def test_straight_rod_assembles_to_kronecker_sum():
@@ -229,12 +314,34 @@ def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
 
 
 def test_curved_solve_builds_section_basis_once(monkeypatch):
-    # a disk section needs the dense eigenbasis, built once per solve
+    # a disk section needs the dense eigenbasis, built once per family
     calls = _count_eigh(monkeypatch)
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
     sol = solve_direct(op, 3)
     assert sol.history[0]["prec_applies"] > 0
     assert calls == [(op.n_omega, op.n_omega)]
+
+
+def test_disk_family_solves_three_eps_with_one_basis_and_one_section_solve(
+    monkeypatch,
+):
+    # the section eigenbasis and the start block's section modes do not
+    # depend on eps: a family solved at three eps builds each once
+    eighs = _count_eigh(monkeypatch)
+    sections = []
+    solve_section_ = direct_oracle.solve_section
+
+    def counting(grid, count):
+        sections.append(count)
+        return solve_section_(grid, count)
+
+    monkeypatch.setattr(direct_oracle, "solve_section", counting)
+    family = direct_oracle.PencilFamily(*_helix(n=10, M_s=20, kind="disk"))
+    for eps in (0.2, 0.1, 0.05):
+        op = family.assemble(eps)
+        assert solve_direct(op, 3).history[0]["prec_applies"] > 0
+    assert eighs == [(op.n_omega, op.n_omega)]
+    assert len(sections) == 1
 
 
 def test_curved_square_solve_runs_no_eigh(monkeypatch):
@@ -282,6 +389,18 @@ def test_solve_stops_when_requested_pairs_converge():
     assert np.all(sol.residuals <= target)
     assert sol.lam == pytest.approx(_dense_reference(op, 3), abs=1e-7)
     assert sol.ritz_all[-1] - sol.window_guard > target
+
+
+def test_inf_norm_reads_the_csr_rows(monkeypatch):
+    # the largest absolute row sum, without a copy of H, in one slice or
+    # in slices of a few rows; empty rows sum to 0
+    op = _helix_op(eps=0.2, n=10, M_s=20)
+    ref = np.abs(op.H).sum(axis=1).max()
+    assert direct_oracle._inf_norm(op.H) == pytest.approx(ref, rel=1e-14)
+    monkeypatch.setattr(direct_oracle, "_NORM_SLICE", 50)
+    assert direct_oracle._inf_norm(op.H) == pytest.approx(ref, rel=1e-14)
+    gappy = sp.csr_matrix(np.array([[0.0, 0.0], [-3.0, 1.0], [0.0, 0.0]]))
+    assert direct_oracle._inf_norm(gappy) == 4.0
 
 
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
