@@ -21,7 +21,7 @@ Config schema (unknown fields are rejected, naming the offending path):
                   "radius": float, "n": int, "center": [float, float],
                   "path": "mask-file"},
       "M_s":     int   (default 256, grid nodes along the curve),
-      "modes":   [[n, m], ...]  (default [[1, 1]]),
+      "modes":   [[n, m], ...]  (distinct; default [[1, 1]]),
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
       "solver":  {"tol": float  (> 0, default 1e-8),
@@ -230,6 +230,8 @@ def parse_config(path) -> RunConfig:
             or nm[1] < 1
         ):
             raise ConfigError(f"modes[{k}]", "expected [n >= 1, m >= 1]")
+        if (nm[0], nm[1]) in parsed_modes:
+            raise ConfigError(f"modes[{k}]", f"mode {nm} is listed twice")
         parsed_modes.append((nm[0], nm[1]))
 
     eps_raw = raw.get("epsilon")
@@ -475,11 +477,12 @@ def _grid_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
+def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict, list]:
     """The certification loop verify and sweep share (see the module notes).
 
-    Returns the CSV lines and the report entries `eigenpairs_computed`,
-    `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
+    Returns the CSV lines, the report entries `eigenpairs_computed`, `rows`,
+    `warnings` (UnderresolvedWindow messages) and `failures`, and per eps
+    the residual target its solve certified.
     """
     try:
         oracle._check_section_size(cfg.frame, cfg.grid)
@@ -490,7 +493,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     K = _auto_count(cfg, spectrum)
     family = oracle.PencilFamily(cfg.frame, cfg.grid)
     lines = [_VERIFY_HEADER]
-    rows, failures, window_warnings = [], [], []
+    rows, failures, window_warnings, targets = [], [], [], []
     for eps in eps_list:
         op = family.assemble(eps)
         sol = oracle.solve_direct(
@@ -502,6 +505,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = oracle.compare(sol, states, eps)
+        targets.append(sol.target)
         del op, sol  # free this eps's pencil and eigenvectors before the next
         for c in caught:
             if issubclass(c.category, UnderresolvedWindow):
@@ -516,7 +520,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
         "warnings": window_warnings,
         "failures": failures,
     }
-    return lines, entries
+    return lines, entries, targets
 
 
 def _write_report(
@@ -545,7 +549,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     if not cfg.epsilons or len(cfg.epsilons) != 1:
         raise ConfigError("epsilon", "verify needs exactly one epsilon value")
     out_dir = Path(out_dir)
-    lines, entries = _certify(cfg, out_dir, cfg.epsilons)
+    lines, entries, _ = _certify(cfg, out_dir, cfg.epsilons)
     return _write_report(cfg, out_dir, "verify", lines, entries)
 
 
@@ -560,25 +564,29 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
 
     Needs at least two epsilon values, solved from the largest down.  Fits
     log-log slopes of the eigenvalue gap and of the residual certificate
-    per mode; slopes are reported as null when the gaps sit at solver noise
-    (a terminating expansion leaves nothing to fit).  Returns the failure
-    list.
+    rho = ||B^-1/2 (H - lambda_partial B) psi|| / ||B^1/2 psi|| per mode.  A
+    slope is reported as null when one of its values is at or below the
+    residual target the solve at that eps certified (max(tol, 8 eps_mach
+    ||H||_inf)): below it the gap is solver noise, as for a terminating
+    expansion, and no rate can be fitted.  Returns the failure list.
     """
     if not cfg.epsilons or len(cfg.epsilons) < 2:
         raise ConfigError("epsilon", "sweep needs a list of at least two values")
     out_dir = Path(out_dir)
     eps_order = sorted(cfg.epsilons, reverse=True)
-    lines, entries = _certify(cfg, out_dir, eps_order)
+    lines, entries, targets = _certify(cfg, out_dir, eps_order)
     rows, failures = entries["rows"], entries["failures"]
 
-    noise = 1e-9 * max(abs(r["lambda_direct"]) for r in rows)
+    def fit(values):
+        if any(v <= t for v, t in zip(values, targets)):
+            return None
+        return _fit_slope(eps_order, values)
+
     slopes = {}
     for idx, (n, m) in enumerate(cfg.modes):
         mode_rows = rows[idx :: len(cfg.modes)]  # one row per eps, in eps_order
-        gaps = [r["abs_gap"] for r in mode_rows]
-        rhos = [r["residual_rho"] for r in mode_rows]
-        gap_slope = None if min(gaps) <= noise else _fit_slope(eps_order, gaps)
-        rho_slope = None if min(rhos) <= noise else _fit_slope(eps_order, rhos)
+        gap_slope = fit([r["abs_gap"] for r in mode_rows])
+        rho_slope = fit([r["residual_rho"] for r in mode_rows])
         slopes[f"n{n}_m{m}"] = {"gap": gap_slope, "rho": rho_slope}
         thr = cfg.thresholds
         if gap_slope is not None and not (
@@ -604,6 +612,13 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
 # ----------------------------------------------------------------------
 
 
+def _expect(ok: bool, message: str) -> None:
+    """Fail a selftest check with `message`; unlike `assert`, this also
+    runs under `python -O`."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _selftest_checks():
     """Quick end-to-end checks of the documented exact invariants."""
     checks = []
@@ -620,18 +635,17 @@ def _selftest_checks():
         fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
         spec = solve_section(square_grid(1.0, 10), 2)
         st = engine.run_recurrence(fr, spec, 1, 1, 4)
-        assert st.lam_i(-1) == 0.0, "lambda_{-1} must vanish identically"
-        assert all(st.lam_i(i) == 0.0 for i in range(1, st.N - 1)), (
-            "corrections above order zero must vanish"
-        )
-        assert st.max_defect == 0.0, f"solvability defect {st.max_defect!r}, not 0"
+        _expect(st.lam_i(-1) == 0.0, "lambda_{-1} must vanish identically")
+        _expect(all(st.lam_i(i) == 0.0 for i in range(1, st.N - 1)),
+                "corrections above order zero must vanish")
+        _expect(st.max_defect == 0.0, f"solvability defect {st.max_defect!r}, not 0")
 
     @check("lambda_{-1} vanishes identically on a curved rod")
     def _(tmp):
         fr = build_frame(CurveSpec("circular_arc", s0=2.0, radius=1.5), 20)
         spec = solve_section(square_grid(1.0, 10, center=(0.1, 0.0)), 2)
         st = engine.run_recurrence(fr, spec, 1, 1, 3)
-        assert st.lam_i(-1) == 0.0, f"lambda_{{-1}} = {st.lam_i(-1)!r}, not 0"
+        _expect(st.lam_i(-1) == 0.0, f"lambda_{{-1}} = {st.lam_i(-1)!r}, not 0")
 
     @check("assembled pencil is exactly symmetric and positive")
     def _(tmp):
@@ -641,14 +655,12 @@ def _selftest_checks():
         )
         op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
         res = oracle.operator_checks(op)
-        assert res["symmetry_defect"] == 0.0, (
-            f"symmetry defect {res['symmetry_defect']!r}, not 0"
-        )
+        _expect(res["symmetry_defect"] == 0.0,
+                f"symmetry defect {res['symmetry_defect']!r}, not 0")
         np.linalg.cholesky(op.H.toarray())  # raises unless H is positive definite
         lo, hi = res["b_range"]
-        assert 0.5 < lo <= hi < 1.5, (
-            f"weight range ({lo!r}, {hi!r}) not inside (1/2, 3/2)"
-        )
+        _expect(0.5 < lo <= hi < 1.5,
+                f"weight range ({lo!r}, {hi!r}) not inside (1/2, 3/2)")
 
     @check("direct solve reproduces the separable spectrum")
     def _(tmp):
@@ -657,7 +669,7 @@ def _selftest_checks():
         sol = oracle.solve_direct(op, 3)
         ref = [v for v, _, _ in oracle.separable_eigenvalues(op, 3)]
         err = np.abs(sol.lam - np.asarray(ref)) / np.asarray(ref)
-        assert err.max() < 1e-8, f"relative error {err.max():.3e}"
+        _expect(err.max() < 1e-8, f"relative error {err.max():.3e}")
 
     @check("residual certificate bounds the nearest eigenvalue")
     def _(tmp):
@@ -668,7 +680,7 @@ def _selftest_checks():
         rho, ok = oracle.residual_certificate(
             op, float(sol.lam[0]), sol.vectors[:, 0], sol
         )
-        assert rho < 1e-8 and ok is True, f"rho {rho:.3e}, bound check {ok}"
+        _expect(rho < 1e-8 and ok is True, f"rho {rho:.3e}, bound check {ok}")
 
     @check("closed-form lambda_1 matches the recurrence")
     def _(tmp):
@@ -677,9 +689,8 @@ def _selftest_checks():
         st = engine.run_recurrence(fr, spec, 1, 1, 3)
         closed = engine.lambda1_closed(st.ctx, st.Psi[0], st.lam0)
         scale = max(abs(st.lam_i(1)), abs(st.lam_i(0)), 1.0)
-        assert abs(st.lam_i(1) - closed) < 1e-10 * scale, (
-            f"recurrence {st.lam_i(1)!r} vs closed form {closed!r}"
-        )
+        _expect(abs(st.lam_i(1) - closed) < 1e-10 * scale,
+                f"recurrence {st.lam_i(1)!r} vs closed form {closed!r}")
 
     @check("coefficient series matches the assembled operator")
     def _(tmp):
@@ -689,7 +700,7 @@ def _selftest_checks():
         )
         op = oracle.assemble(fr, square_grid(1.0, 10, center=(0.1, 0.0)), 0.2)
         defect = oracle.series_defect(op, 12)
-        assert defect < 1e-9, f"series defect {defect:.3e} at order 12, limit 1e-9"
+        _expect(defect < 1e-9, f"series defect {defect:.3e} at order 12, limit 1e-9")
 
     @check("expansion output is byte-identical across reruns")
     def _(tmp):
@@ -708,7 +719,7 @@ def _selftest_checks():
             run_cfg = parse_config(cfg_path)
             cmd_expand(run_cfg, tmp / run)
             paths.append((tmp / run / "thinrod_coefficients.csv").read_bytes())
-        assert paths[0] == paths[1], "reruns differ"
+        _expect(paths[0] == paths[1], "reruns differ")
 
     return checks
 

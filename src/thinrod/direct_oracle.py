@@ -49,18 +49,19 @@ a sine transform along the axis, applied as matrix products).  On a full
 rectangular mask the section eigenbasis is itself a product of two sine
 transforms with closed-form eigenvalues; any other mask takes a dense
 eigenbasis from eigh, once per family, on the first preconditioner apply.
-Only the denominators depend on eps.  The run stops as soon as the K
-requested pairs reach a quarter of the target below; the guard columns
-beyond K only set the window edge and are not required to converge.
-Non-rectangular sections with more than 4096 interior nodes are too large
-for the dense eigenbasis: the solve of a curved or twisted rod on such a
-section raises SolverFail before it starts (:func:`_check_section_size`,
-which the CLI also runs before any work), and a straight untwisted rod
-solves at any size because its separable start block is already
-converged.  Rectangular sections have no such limit.  Every requested pair
-must meet ``max(tol, 8 * eps_mach * ||H||_inf)`` in the B-scaled norm (tol
-is 1e-8 by default; the second term is the floating-point floor of the
-residual), or the solve raises SolverFail with LOBPCG's residual history.
+Only the denominators depend on eps.  A curved or twisted rod on a
+non-rectangular section of more than 4096 interior nodes is refused before
+its solve (:func:`_check_section_size`, which the CLI also runs first).
+
+One residual serves the stop test, the acceptance, the window edge and the
+certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
+some eigenvalue of the pencil lies within rho of lambda (Parlett, The
+Symmetric Eigenvalue Problem).  The run stops once the K requested pairs
+reach a quarter of ``target = max(tol, 8 * eps_mach * ||H||_inf)`` (tol is
+1e-8 by default; the second term is the floating-point floor of rho), and
+each must then meet the target, or the solve raises SolverFail with
+LOBPCG's residual history.  The guard columns beyond K only set the window
+edge and need not converge.
 """
 
 from __future__ import annotations
@@ -506,10 +507,11 @@ def series_defect(
 class DirectSolution:
     """Lowest eigenpairs of H u = lambda B u, ascending and B-orthonormal.
 
-    `residuals` holds ||H u - lambda B u|| / ||B u|| per returned pair;
+    `residuals` holds rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| per
+    returned pair, each at most `target` = max(tol, 8 eps_mach ||H||_inf);
     `ritz_all` includes the guard values computed beyond the requested K and
-    `window_guard` = top certified value minus its residual, the reliable
-    upper edge for nearest-eigenvalue claims.
+    `window_guard` = top guard value minus its rho, the reliable upper edge
+    for nearest-eigenvalue claims.
     """
 
     op: TransformedOperator
@@ -518,14 +520,19 @@ class DirectSolution:
     residuals: np.ndarray
     ritz_all: np.ndarray
     window_guard: float
+    target: float
     history: list = field(default_factory=list)
 
 
-def _residual_norms(H, Bd, U, lam):
-    R = H @ U - (Bd[:, None] * U) * lam[None, :]
-    return np.sqrt(np.sum(R**2, axis=0)) / np.sqrt(
-        np.sum((Bd[:, None] * U) ** 2, axis=0)
-    )
+def _rho(H, Bd, U, lam):
+    """rho = ||B^-1/2 (H u - lam B u)|| / ||B^1/2 u|| of the vector u = U, or
+    of each column u of U with its entry of lam (B is diagonal, so the
+    scaling is exact): some eigenvalue of the pencil lies within rho of lam."""
+    s, axis = np.sqrt(Bd), None  # a vector's norm is one dot product
+    if U.ndim == 2:
+        s, Bd, axis = s[:, None], Bd[:, None], 0
+    R = H @ U - (Bd * U) * lam
+    return np.linalg.norm(R / s, axis=axis) / np.linalg.norm(s * U, axis=axis)
 
 
 def _dirichlet_eigenvalues(h: float, length: float, count: int) -> np.ndarray:
@@ -637,15 +644,11 @@ def _separable_preconditioner(op: TransformedOperator):
     1964); any other mask gets a dense eigenbasis from LAPACK's
     divide-and-conquer eigh (driver "evd"), several times faster than the
     default MRRR driver on the section Laplacian's clustered spectrum.
-    Fully deterministic.  The section basis and the axial sine transform
-    do not depend on eps and are the family's (:attr:`PencilFamily.
-    section_basis`, :attr:`PencilFamily.axial_sine`): built on the first
-    apply of any preconditioner of the family, so a sweep builds them once
-    and a solve that never applies the operator skips them (the straight
-    untwisted rod, whose start block is already converged).  Only the
-    denominators are per operator.  On a non-rectangular section with more
-    than _SPECTRAL_CUTOFF interior nodes that first apply raises the
-    SolverFail of :func:`_check_section_size` instead.
+    The section basis and the axial sine transform are the family's
+    (:attr:`PencilFamily.section_basis`, :attr:`PencilFamily.axial_sine`),
+    built on the first apply of any of its preconditioners, which a
+    straight untwisted rod never reaches (its start block has converged);
+    above _SPECTRAL_CUTOFF nodes that apply raises SolverFail instead.
     """
     ms, nw = op.M_s - 2, op.n_omega
 
@@ -692,8 +695,10 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
     every inner product is Euclidean.  Each step preconditions the residuals
     (W = M R), orthogonalizes [W, P] against X twice, orthonormalizes it by
     SVQB twice, applies H to it explicitly and does the Rayleigh-Ritz step
-    with X^T H X = diag(lambda).  It stops once the first K pairs have
-    ||H u - lambda B u|| / ||B u|| <= stop, checked before each
+    with X^T H X = diag(lambda).  In y, AX - X lambda = B^-1/2 (H u -
+    lambda B u): its column norms over those of X are the rho of
+    :func:`_rho`, and B^1/2 (AX - X lambda) is what M is applied to.  It
+    stops once the first K pairs have rho <= stop, checked before each
     preconditioner apply, or after maxiter steps; the other columns are
     guards, carried but not required to converge.  Returns (lambda,
     B-orthonormal u, history entry).
@@ -725,12 +730,12 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
     n_p = 0
     while True:
         R = X * -lam
-        R += AX
-        R *= s  # H u - lambda B u
-        res = np.linalg.norm(R, axis=0) / np.sqrt(np.einsum("i,ij,ij->j", Bd, X, X))
-        stage["residual_history"].append(float(res[:K].max()))
-        if res[:K].max() <= stop or stage["iterations"] == maxiter:
+        R += AX  # B^-1/2 (H u - lambda B u)
+        rho = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
+        stage["residual_history"].append(float(rho[:K].max()))
+        if rho[:K].max() <= stop or stage["iterations"] == maxiter:
             return lam, X / s, stage
+        R *= s  # H u - lambda B u
         stage["iterations"] += 1
         stage["prec_applies"] += 1
         np.multiply(prec @ R, s, out=WP[:, :nb])
@@ -791,19 +796,19 @@ def solve_direct(
     so K may be at most `max_pairs(n)` = n // 4 - 3 (else SolverFail before
     any iteration): with no guard, a cluster cut by the block edge can stall
     LOBPCG short of the target.  It stops once the K requested pairs have
-    ||H u - lambda B u|| / ||B u|| <= target / 4.  Afterwards the residuals
-    are recomputed from H, and every requested pair must meet
-    target = max(tol, 8 eps_mach ||H||_inf), or SolverFail is raised with
-    the history.  Guard pairs beyond K are carried but need not converge:
-    the window edge is the top guard's Ritz value minus its residual, so an
-    unconverged guard only lowers the edge.
+    rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| <= target / 4; then
+    rho is recomputed from H (:func:`_rho`), and each requested pair must
+    meet target = max(tol, 8 eps_mach ||H||_inf), which the solution
+    records, or SolverFail is raised with the history.  The window edge is
+    the top guard's Ritz value minus its rho: an unconverged guard only
+    lowers it.
 
     The history has one entry: `stage` (always "lobpcg"), `iterations`
     (preconditioned steps), `h_applies` (block products with H inside the
     iteration: one for the start block and one per step), `prec_applies`,
     `residual_history` (per iteration, starting with the start block, the
-    largest residual over the K requested pairs) and `max_resid` (the
-    largest recomputed residual over all pairs, guards included).
+    largest rho over the K requested pairs) and `max_resid` (the largest
+    recomputed rho over all pairs, guards included).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -820,16 +825,9 @@ def solve_direct(
             f"of {n // 4}; at most {max_pairs(n)} pairs, or refine the grid"
         )
     nb = min(K + max(_MIN_GUARDS, K), n // 4)
-    w, V, stage = _lobpcg(
-        H,
-        Bd,
-        _start_block(op, nb),
-        _separable_preconditioner(op),
-        K,
-        0.25 * target,
-        maxiter,
-    )
-    res = _residual_norms(H, Bd, V, w)
+    prec = _separable_preconditioner(op)
+    w, V, stage = _lobpcg(H, Bd, _start_block(op, nb), prec, K, 0.25 * target, maxiter)
+    res = _rho(H, Bd, V, w)
     stage["max_resid"] = float(res.max())
     history = [stage]
 
@@ -848,6 +846,7 @@ def solve_direct(
         residuals=res[:K].copy(),
         ritz_all=w.copy(),
         window_guard=float(w[nb - 1] - res[nb - 1]),
+        target=target,
         history=history,
     )
 
@@ -865,24 +864,22 @@ def residual_certificate(
 ):
     """(rho, bound_check) for a candidate eigenpair (lam_val, psi).
 
-    rho = ||B^-1/2 (H - lam_val B) psi|| / ||B^1/2 psi|| (B is diagonal, so
-    the scaling is exact).  Some eigenvalue of the pencil lies within rho of
-    lam_val; when `solution` is given and lam_val + rho sits below its
-    certified window edge, bound_check states whether the nearest *computed*
-    eigenvalue realizes that distance.  Outside the window the check is
-    skipped (bound_check None) with an UnderresolvedWindow warning.
+    rho = ||B^-1/2 (H - lam_val B) psi|| / ||B^1/2 psi||, by :func:`_rho`,
+    for psi a full-grid field or an unknown vector.  Some eigenvalue of the
+    pencil lies within rho of lam_val; when `solution` is given and
+    lam_val + rho sits below its certified window edge, bound_check states
+    whether the nearest *computed* eigenvalue realizes that distance.
+    Outside the window the check is skipped (bound_check None) with an
+    UnderresolvedWindow warning.
     """
     v = np.asarray(psi, dtype=float)
     if v.ndim == 2:
         v = to_vector(op, v)
     if v.shape != (op.n,):
         raise ValueError(f"expected field ({op.M_s}, {op.n_omega}) or vector ({op.n},)")
-    sq = np.sqrt(op.B)
-    den = float(np.linalg.norm(sq * v))
-    if not den > 0:
+    if not np.linalg.norm(v) > 0:
         raise ValueError("zero candidate eigenfunction")
-    r = op.H @ v - lam_val * (op.B * v)
-    rho = float(np.linalg.norm(r / sq)) / den
+    rho = float(_rho(op.H, op.B, v, lam_val))
     if solution is None:
         return rho, None
     if not lam_val + rho < solution.window_guard:

@@ -340,11 +340,21 @@ def build_frame(spec: CurveSpec, M_s: int) -> FrameField:
     return frame
 
 
+_DISTANCE_BLOCK = 2**16  # point pairs per block of _min_nonadjacent_distance
+
+
 def _min_nonadjacent_distance(r: np.ndarray) -> float:
-    d = np.linalg.norm(r[:, None, :] - r[None, :, :], axis=2)
+    """min |r_i - r_j| over the pairs j >= i + 2, a block of rows at a time
+    (about _DISTANCE_BLOCK pairs each), so memory stays O(len(r))."""
     M = r.shape[0]
-    ii, jj = np.triu_indices(M, k=2)
-    return float(d[ii, jj].min())
+    step = max(1, _DISTANCE_BLOCK // M)
+    best = np.inf
+    for i0 in range(0, M - 2, step):
+        i = np.arange(i0, min(i0 + step, M - 2))
+        d = np.linalg.norm(r[i, None, :] - r[None, i0 + 2 :, :], axis=2)
+        d[np.arange(i0 + 2, M)[None, :] < i[:, None] + 2] = np.inf
+        best = min(best, float(d.min()))
+    return best
 
 
 def _curvatures(tau, eta, beta, h):

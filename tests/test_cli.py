@@ -375,6 +375,67 @@ def test_sweep_helix_fits_second_order_rate(tmp_path):
     assert eps_col == sorted(eps_col, reverse=True)
 
 
+# the benchmark's helix sweep (draw 0 of its geometry jitter)
+HELIX_SWEEP = {
+    "curve": {**HELIX["curve"], "twist_rate": 0.603699},
+    "section": {"kind": "square", "side": 1.0, "n": 16,
+                "center": [0.113769, -0.053258]},
+    "M_s": 64,
+    "modes": [[1, 1], [1, 2], [1, 3]],
+    "epsilon": [0.2, 0.1, 0.05],
+    "solver": {"count": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "order, gap_slopes",
+    [
+        (4, {"n1_m1": 2.97, "n1_m2": 3.01, "n1_m3": 3.07}),
+        # the (1, 2) gap at eps 0.05 (4.4e-10) is below the 1e-8 residual
+        # target its solve certified: no rate can be fitted to it
+        (5, {"n1_m1": 3.85, "n1_m2": None, "n1_m3": 4.01}),
+    ],
+)
+def test_sweep_fits_the_gap_rate_of_its_order(tmp_path, capsys, order, gap_slopes):
+    # a partial sum of order N misses by O(eps^(N-1)); every gap above the
+    # certified residual target is fitted, inside the default window
+    path = write_config(tmp_path, {"order": order}, base=HELIX_SWEEP)
+    code, payload = run_main(
+        ["sweep", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert (code, payload) == (0, {"failures": []})
+    report = json.loads((tmp_path / "thinrod_sweep.json").read_text())
+    for key, slope in gap_slopes.items():
+        fit = report["slopes"][key]
+        assert fit["gap"] == (None if slope is None else pytest.approx(slope, abs=0.01))
+        assert fit["rho"] >= 3.5
+
+
+def test_sweep_fails_the_rate_of_a_perturbed_expansion(tmp_path, capsys, monkeypatch):
+    # lambda_2 doubled: the order-4 partial sum misses by about
+    # lambda_2 eps^2, a slope near 2, outside the window [2.5, 3.5]
+    run_recurrence = cli.engine.run_recurrence
+
+    def perturbed(*args, **kwargs):
+        st = run_recurrence(*args, **kwargs)
+        st.lam = st.lam.copy()
+        st.lam[4] *= 2.0  # lam[i + 2] = lambda_i
+        return st
+
+    monkeypatch.setattr(cli.engine, "run_recurrence", perturbed)
+    path = write_config(
+        tmp_path, {"order": 4, "modes": [[1, 1]]}, base=HELIX_SWEEP
+    )
+    code, payload = run_main(
+        ["sweep", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "rate"
+    assert failure["message"] == "eigenvalue gap rate outside configured window"
+    assert failure["slope"] < 2.5
+
+
 # ----------------------------------------------------------------------
 # entry point and exit codes
 # ----------------------------------------------------------------------
@@ -457,10 +518,14 @@ def _config_text(tmp_path, text):
          "curve"),
         (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": -1.0}}),
          "curve"),
+        # a mode listed twice would pair twice with the same eigenvalue
+        (lambda t: write_config(t, {"modes": [[1, 1], [1, 2], [1, 1]]}),
+         "modes[2]"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
-         "sampled-duplicate-point", "twist-spiral", "s0-zero", "s0-negative"],
+         "sampled-duplicate-point", "twist-spiral", "s0-zero", "s0-negative",
+         "modes-duplicate"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,
@@ -634,10 +699,20 @@ def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
     ]}
 
 
-def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys):
-    # the same mode listed twice cannot be matched injectively; the run
-    # completes and reports the pairing failure
-    path = write_config(tmp_path, {"epsilon": 0.2, "modes": [[1, 1], [1, 1]]})
+def test_main_exit_one_on_ambiguous_pairing(tmp_path, capsys, monkeypatch):
+    # with the eigenvalue of mode (1, 2) moved far above the window, both
+    # partial sums lie nearest the ground eigenvalue: the matching is not
+    # injective, and the run completes and reports the pairing failure
+    solve_direct = cli.oracle.solve_direct
+
+    def moved(*args, **kwargs):
+        sol = solve_direct(*args, **kwargs)
+        sol.lam = sol.lam.copy()
+        sol.lam[1] = 10.0 * sol.ritz_all[-1]
+        return sol
+
+    monkeypatch.setattr(cli.oracle, "solve_direct", moved)
+    path = write_config(tmp_path, {"epsilon": 0.2})
     code, payload = run_main(
         ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
     )
@@ -730,6 +805,33 @@ def test_selftest_failure_reports_the_measured_value(tmp_path, capsys, monkeypat
     (failure,) = report["failures"]
     assert failure == {"kind": "selftest", "name": name,
                        "message": "symmetry defect 1.0, not 0"}
+
+
+# the selftest with a symmetry defect of 1.0 reported, run by main
+PATCHED_SELFTEST_SCRIPT = """
+import sys
+from thinrod import cli
+print("optimize", sys.flags.optimize)
+checks = cli.oracle.operator_checks
+cli.oracle.operator_checks = lambda op: {**checks(op), "symmetry_defect": 1.0}
+sys.exit(cli.main(["selftest", "--out", sys.argv[1]]))
+"""
+
+
+def test_selftest_fails_under_python_O(tmp_path):
+    # python -O strips assert statements; the selftest's checks still run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PATCHED_SELFTEST_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    name = "assembled pencil is exactly symmetric and positive"
+    assert f"FAIL (symmetry defect 1.0, not 0) {name}" in lines
+    assert proc.returncode == 1, proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -391,6 +391,20 @@ def test_solve_stops_when_requested_pairs_converge():
     assert sol.ritz_all[-1] - sol.window_guard > target
 
 
+@pytest.mark.parametrize("kind, n", [("square", 10), ("disk", 12)])
+def test_solution_residuals_are_the_certificate_rho(kind, n):
+    # one residual throughout: the solve certifies every pair, guards'
+    # window edge included, in the rho of residual_certificate
+    op = _helix_op(eps=0.2, n=n, M_s=20, kind=kind)
+    sol = solve_direct(op, 3)
+    for j, lam in enumerate(sol.lam):
+        rho, _ = residual_certificate(op, float(lam), sol.vectors[:, j])
+        assert sol.residuals[j] == pytest.approx(rho, rel=1e-12, abs=0)
+    assert sol.residuals.max() <= sol.target
+    target = max(1e-8, 8 * np.finfo(float).eps * np.abs(op.H).sum(axis=1).max())
+    assert sol.target == pytest.approx(target, rel=1e-14)
+
+
 def test_inf_norm_reads_the_csr_rows(monkeypatch):
     # the largest absolute row sum, without a copy of H, in one slice or
     # in slices of a few rows; empty rows sum to 0

@@ -1,10 +1,13 @@
 """Frame construction, curvature extraction, finite-difference kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinrod import geometry
 from thinrod.errors import FrenetUndefined, InvalidCurve
 from thinrod.geometry import (
     CurveSpec,
@@ -128,6 +131,39 @@ def test_sampled_self_intersection_rejected():
     pts = np.stack([np.sin(t), np.sin(t) * np.cos(t), np.zeros_like(t)], axis=1)
     with pytest.raises(InvalidCurve):
         build_frame(CurveSpec("sampled", points=pts), 64)
+
+
+def _dense_min_nonadjacent_distance(r):
+    """The all-pairs formula: an (M, M, 3) difference array and the pairs
+    j >= i + 2 from triu_indices."""
+    d = np.linalg.norm(r[:, None, :] - r[None, :, :], axis=2)
+    ii, jj = np.triu_indices(r.shape[0], k=2)
+    return float(d[ii, jj].min())
+
+
+@pytest.mark.parametrize("M", [3, 4, 17, 300])
+def test_min_nonadjacent_distance_equals_the_dense_formula(monkeypatch, M):
+    # same pairs, same arithmetic: bit-identical, also across many blocks
+    r = np.random.default_rng(M).standard_normal((M, 3))
+    dense = _dense_min_nonadjacent_distance(r)
+    assert geometry._min_nonadjacent_distance(r) == dense
+    monkeypatch.setattr(geometry, "_DISTANCE_BLOCK", 5 * M)
+    assert geometry._min_nonadjacent_distance(r) == dense
+
+
+def test_min_nonadjacent_distance_memory_is_linear():
+    # the dense formula holds 2000^2 x 3 doubles (96 MB) and more; a block
+    # of rows holds about 2^16 pairs (measured peak 4.5 MB)
+    t = np.linspace(0.0, 6.0, 2000)
+    r = np.stack([np.cos(t), np.sin(t), 0.15 * t], axis=1)
+    tracemalloc.start()
+    try:
+        dmin = geometry._min_nonadjacent_distance(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert dmin == _dense_min_nonadjacent_distance(r)
 
 
 def test_grid_too_coarse():
