@@ -37,13 +37,12 @@ Config schema (unknown fields are rejected, naming the offending path):
     }
 
 `verify` and `sweep` run one certification loop.  The section solve, the
-recurrences, the eigenpair count and the pencil family (H's pattern, the
-start block's section modes, the preconditioner's section basis) are
-computed once; then each epsilon, in order (a sweep goes from the largest
-down), has its values filled in, is solved, optionally dumped and compared
-with the expansion before the next one starts, and its operator and
-solution are released once its rows exist.  All result files are written
-at the end.
+recurrences, the pencil family (H's pattern and the separable eigenbasis)
+and the eigenpair count are computed once; then each epsilon, in order (a
+sweep goes from the largest down), has its values filled in, is solved,
+optionally dumped and compared with the expansion before the next one
+starts, and its operator and solution are released once its rows exist.
+All result files are written at the end.
 """
 
 from __future__ import annotations
@@ -347,17 +346,17 @@ def _run_states(cfg: RunConfig, spectrum):
     return [_run_mode(cfg, spectrum, n, m) for n, m in cfg.modes]
 
 
-def _auto_count(cfg: RunConfig, spectrum) -> int:
-    """Direct eigenpairs needed to cover the requested modes, plus guards."""
+def _auto_count(cfg: RunConfig, family) -> int:
+    """Direct eigenpairs needed to cover the requested modes, plus guards:
+    every separable rung at the thinnest eps, over all section modes, at
+    or below the highest configured one."""
     if cfg.solver["count"] > 0:
         return cfg.solver["count"]
-    surrogate = oracle.separable_ladder(
-        cfg.frame, spectrum.lam, min(cfg.epsilons), cfg.M_s - 2
-    )
+    rungs = family.rungs(min(cfg.epsilons), cfg.M_s - 2)
+    ladder = np.sort(rungs, axis=0)  # row n - 1 is section mode n
     # every configured mode is a rung: the recurrence refuses m >= M_s - 2
-    rank = {(n, m): k for k, (_, n, m) in enumerate(surrogate)}
-    top = 1 + max(rank[nm] for nm in cfg.modes)
-    return top + 2
+    top = max(ladder[n - 1, m - 1] for n, m in cfg.modes)
+    return int(np.count_nonzero(rungs <= top)) + 2
 
 
 def _row_failures(eps, rep):
@@ -477,21 +476,22 @@ def _grid_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict, list]:
+def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     """The certification loop verify and sweep share (see the module notes).
 
-    Returns the CSV lines, the report entries `eigenpairs_computed`, `rows`,
-    `warnings` (UnderresolvedWindow messages) and `failures`, and per eps
-    the residual target its solve certified.
+    Returns the CSV lines and the report entries `eigenpairs_computed`,
+    `residual_targets` ([eps, the residual target its solve certified], in
+    solve order), `rows`, `warnings` (UnderresolvedWindow messages) and
+    `failures`.
     """
     try:
-        oracle._check_section_size(cfg.frame, cfg.grid)
+        oracle._check_section_size(cfg.grid)
     except SolverFail as e:
         raise ConfigError("section.n", str(e)) from e
     spectrum = _solve_spectrum(cfg)
     states = _run_states(cfg, spectrum)
-    K = _auto_count(cfg, spectrum)
     family = oracle.PencilFamily(cfg.frame, cfg.grid)
+    K = _auto_count(cfg, family)
     lines = [_VERIFY_HEADER]
     rows, failures, window_warnings, targets = [], [], [], []
     for eps in eps_list:
@@ -505,7 +505,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict, list]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = oracle.compare(sol, states, eps)
-        targets.append(sol.target)
+        targets.append([eps, sol.target])
         del op, sol  # free this eps's pencil and eigenvectors before the next
         for c in caught:
             if issubclass(c.category, UnderresolvedWindow):
@@ -516,11 +516,12 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict, list]
             rows.append(_row_json(eps, r))
     entries = {
         "eigenpairs_computed": K,
+        "residual_targets": targets,
         "rows": rows,
         "warnings": window_warnings,
         "failures": failures,
     }
-    return lines, entries, targets
+    return lines, entries
 
 
 def _write_report(
@@ -544,12 +545,13 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     """Single-epsilon comparison of the expansion against the direct solve.
 
     Writes the per-mode table `<prefix>_verify.csv` and a JSON report with
-    certificates and any window warnings.  Returns the failure list.
+    certificates, any window warnings and the solve's residual target.
+    Returns the failure list.
     """
     if not cfg.epsilons or len(cfg.epsilons) != 1:
         raise ConfigError("epsilon", "verify needs exactly one epsilon value")
     out_dir = Path(out_dir)
-    lines, entries, _ = _certify(cfg, out_dir, cfg.epsilons)
+    lines, entries = _certify(cfg, out_dir, cfg.epsilons)
     return _write_report(cfg, out_dir, "verify", lines, entries)
 
 
@@ -567,15 +569,17 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
     rho = ||B^-1/2 (H - lambda_partial B) psi|| / ||B^1/2 psi|| per mode.  A
     slope is reported as null when one of its values is at or below the
     residual target the solve at that eps certified (max(tol, 8 eps_mach
-    ||H||_inf)): below it the gap is solver noise, as for a terminating
-    expansion, and no rate can be fitted.  Returns the failure list.
+    ||H||_inf), written to the report as `residual_targets`): below it the
+    gap is solver noise, as for a terminating expansion, and no rate can
+    be fitted.  Returns the failure list.
     """
     if not cfg.epsilons or len(cfg.epsilons) < 2:
         raise ConfigError("epsilon", "sweep needs a list of at least two values")
     out_dir = Path(out_dir)
     eps_order = sorted(cfg.epsilons, reverse=True)
-    lines, entries, targets = _certify(cfg, out_dir, eps_order)
+    lines, entries = _certify(cfg, out_dir, eps_order)
     rows, failures = entries["rows"], entries["failures"]
+    targets = [t for _, t in entries["residual_targets"]]
 
     def fit(values):
         if any(v <= t for v, t in zip(values, targets)):

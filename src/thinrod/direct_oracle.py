@@ -28,40 +28,38 @@ Unknowns are the interior nodes in every direction, ordered s-major
 Only the coefficients depend on eps.  A :class:`PencilFamily` holds
 everything else for one (frame, grid): H's sparsity pattern (three s-slab
 row layouts, int32), the section-sized maps from per-node coefficients to
-block values, the start block's section modes and the preconditioner's
-section basis.  A run that solves several eps builds one family and fills
-only H.data per eps; :func:`assemble` is the one-off form of the same
-path.
+block values, and the separable eigenbasis.  A run that solves several eps
+builds one family and fills only H.data per eps; :func:`assemble` is the
+one-off form of the same path.
 
 The separable part of the pencil, eps^-2 S (x) I + I (x) D_s, has the
 two-parametric spectrum eps^-2 lambda_n(omega) + theta_m, one rung per
-section mode n and axial sine mode m.  It is defined once: theta_m by
-``_dirichlet_eigenvalues`` on the axis, the sorted rungs in
-:func:`separable_ladder`.  The start block, the preconditioner's
-denominators, the straight-rod reference and the CLI's eigenpair count all
-read that definition.
+section mode n and axial sine mode m, and the eigenbasis axial sine (x)
+section mode.  The family holds it once: the section basis
+(:attr:`PencilFamily.section_basis`), the axial sines and the rung array
+(:meth:`PencilFamily.rungs`).  The start block (the lowest rungs' basis
+vectors), the preconditioner's denominators and the CLI's eigenpair count
+all read it; :func:`separable_eigenvalues` solves the section separately,
+as an independent reference.
 
-Solves are deterministic: the starting block is the lowest rungs of the
-ladder (1D sine profiles times section modes, solved sparsely once per
-family) and one block LOBPCG run, implemented here, is preconditioned by
-the exact shifted inverse of the separable part (section eigenbasis times
-a sine transform along the axis, applied as matrix products).  On a full
-rectangular mask the section eigenbasis is itself a product of two sine
-transforms with closed-form eigenvalues; any other mask takes a dense
-eigenbasis from eigh, once per family, on the first preconditioner apply.
-Only the denominators depend on eps.  A curved or twisted rod on a
-non-rectangular section of more than 4096 interior nodes is refused before
-its solve (:func:`_check_section_size`, which the CLI also runs first).
+Solves are deterministic: one block LOBPCG run, implemented here, starts
+from the start block and is preconditioned by the exact shifted inverse of
+the separable part (applied as matrix products).  On a full rectangular
+mask the section eigenbasis is a product of two sine transforms with
+closed-form eigenvalues; any other mask takes a dense eigenbasis from
+eigh, and a section of more than 4096 interior nodes is refused
+(:func:`_check_section_size`, which the CLI also runs first).
 
 One residual serves the stop test, the acceptance, the window edge and the
 certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
 some eigenvalue of the pencil lies within rho of lambda (Parlett, The
 Symmetric Eigenvalue Problem).  The run stops once the K requested pairs
 reach a quarter of ``target = max(tol, 8 * eps_mach * ||H||_inf)`` (tol is
-1e-8 by default; the second term is the floating-point floor of rho), and
-each must then meet the target, or the solve raises SolverFail with
-LOBPCG's residual history.  The guard columns beyond K only set the window
-edge and need not converge.
+1e-8 by default; the second term is the floating-point floor of rho), or
+reach the target itself while no longer halving it per step, and each
+must then meet the target, or the solve raises SolverFail with LOBPCG's
+residual history.  The guard columns beyond K only set the window edge and
+need not converge.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ __all__ = [
     "residual_certificate",
     "compare",
     "series_defect",
-    "separable_ladder",
     "separable_eigenvalues",
     "operator_checks",
     "dump_matrix",
@@ -182,16 +179,14 @@ class PencilFamily:
     A straight rod has no bend terms and an untwisted one no R terms, and
     their pattern leaves those out, so H holds no explicit zeros.
 
-    The family also keeps what the eigensolve reuses at every eps: the
-    start block's section modes (one sparse section solve per mode count)
-    and the preconditioner's section basis and axial sine transform (built
-    on the first preconditioner apply).
+    The family also keeps the separable eigenbasis every solve reads at
+    every eps: the section basis, the axial sine transform and, from
+    both, the rungs.
     """
 
     def __init__(self, frame: FrameField, grid: SectionGrid):
         self.frame, self.grid = frame, grid
         self.q = engine._tilt(frame, grid)
-        self._modes: dict = {}
         k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
         ms, nw = frame.s_grid.size - 2, grid.n_interior
         hs = frame.h
@@ -276,17 +271,14 @@ class PencilFamily:
         lens = np.concatenate([first_len, np.tile(mid_len, ms - 2), last_len])
         np.cumsum(lens.astype(np.int32), out=self.indptr[1:])
 
-    def section_modes(self, count: int):
-        """The lowest `count` section eigenpairs, solved once per count."""
-        if count not in self._modes:
-            self._modes[count] = solve_section(self.grid, count)
-        return self._modes[count]
-
     @functools.cached_property
     def section_basis(self):
-        """(lam_sec, to_modes, from_modes) of the section Laplacian S, the
-        eps-independent part of the preconditioner (see
-        :func:`_separable_preconditioner`)."""
+        """(lam_sec, to_modes, from_modes) of the section Laplacian S:
+        its eigenvalues (unsorted on a rectangle) and the products with
+        the transposed eigenbasis and with the eigenbasis.  Closed-form
+        sines on a full rectangular mask (see
+        :func:`_separable_preconditioner`), a dense eigh on any other,
+        which :func:`_check_section_size` limits."""
         grid, nw = self.grid, self.grid.n_interior
         if grid.mask.all():
             n2, n3 = grid.mask.shape
@@ -302,8 +294,7 @@ class PencilFamily:
                 return (sine3 @ U).reshape(nw, cols)
 
             return lam_sec, to_modes, to_modes
-        if nw > _SPECTRAL_CUTOFF:
-            raise _section_too_large(nw)
+        _check_section_size(grid)
         lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
         return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
 
@@ -311,6 +302,13 @@ class PencilFamily:
     def axial_sine(self) -> np.ndarray:
         """The orthonormal sine transform along the interior s-nodes."""
         return _sine_matrix(self.frame.s_grid.size - 2)
+
+    def rungs(self, eps: float, m_max: int) -> np.ndarray:
+        """The separable rungs eps^-2 lambda_n + theta_m, shape (n_omega,
+        m_max): one row per entry of the section basis's lam_sec, in its
+        order, and one column per axial sine mode m = 1..m_max."""
+        theta = _dirichlet_eigenvalues(self.frame.h, self.frame.s0, m_max)
+        return eps**-2.0 * self.section_basis[0][:, None] + theta[None, :]
 
     def assemble(self, eps: float) -> "TransformedOperator":
         """The pencil at `eps`: a fresh H.data on the family's pattern.
@@ -555,41 +553,25 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
-def separable_ladder(frame: FrameField, lam_sec, eps: float, m_max: int) -> list:
-    """The separable two-parametric set eps^-2 lambda_n + theta_m, ascending.
-
-    One rung per section eigenvalue lambda_n in `lam_sec` (n = 1, 2, ...)
-    and axial sine mode m = 1..m_max, as (value, n, m) triples.  This is
-    the exact spectrum of the pencil on a straight untwisted rod and the
-    leading order of the paper's expansions on any rod.
-    """
-    theta = _dirichlet_eigenvalues(frame.h, frame.s0, m_max)
-    return sorted(
-        (eps**-2.0 * lam + th, n, m)
-        for n, lam in enumerate(lam_sec, start=1)
-        for m, th in enumerate(theta, start=1)
-    )
-
-
 def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
-    """Separable starting vectors: the nb lowest rungs of the ladder.
+    """Separable starting vectors: the basis vectors of the nb lowest rungs.
 
-    Each column is a 1D sine profile times a section mode.  The section
-    modes come from the operator's family, which solves them sparsely once
-    for every eps it assembles (the same way at every section size); only
-    the ladder's order depends on eps.  nb <= n / 4 (the solver's block
-    limit) guarantees the ladder has nb rungs.
+    The column of rung (i, m) of :meth:`PencilFamily.rungs` is axial sine m
+    times section basis vector i; a stable sort keeps tied rungs in the
+    rung array's order.  nb <= n / 4 (the solver's block limit) guarantees
+    nb rungs.
     """
-    spectrum = op.family.section_modes(min(nb, op.n_omega - 2))
-    ladder = separable_ladder(op.frame, spectrum.lam, op.eps, min(nb, op.M_s - 2))
-    s_int = op.frame.s_grid[1:-1]
-    X = np.empty((op.n, nb))
-    for col, (_, n, m) in enumerate(ladder[:nb]):
-        X[:, col] = (
-            np.sin(m * np.pi * s_int / op.frame.s0)[:, None]
-            * spectrum.phi[n - 1][None, :]
-        ).reshape(-1)
-    return X
+    family = op.family
+    _, _, from_modes = family.section_basis
+    rungs = family.rungs(op.eps, min(nb, op.M_s - 2))
+    i, m = np.unravel_index(
+        np.argsort(rungs, axis=None, kind="stable")[:nb], rungs.shape
+    )
+    unit = np.zeros((op.n_omega, nb))
+    unit[i, np.arange(nb)] = 1.0
+    section = from_modes(unit)  # (n_omega, nb)
+    axial = family.axial_sine[:, m]  # (M_s - 2, nb)
+    return (axial[:, None, :] * section[None, :, :]).reshape(op.n, nb)
 
 
 # Non-rectangular sections up to this many interior nodes get a dense
@@ -598,25 +580,16 @@ def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
 _SPECTRAL_CUTOFF = 4096
 
 
-def _section_too_large(nw: int) -> SolverFail:
-    return SolverFail(
-        f"section has {nw} interior nodes, above the limit of "
-        f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis a curved or "
-        "twisted rod's direct solve needs on a non-rectangular section; "
-        "lower section.n"
-    )
-
-
-def _check_section_size(frame: FrameField, grid: SectionGrid):
-    """Raise SolverFail if the solve would need a dense section basis above
-    _SPECTRAL_CUTOFF interior nodes: only a curved or twisted rod applies
-    it, and only on a non-rectangular mask."""
+def _check_section_size(grid: SectionGrid):
+    """Raise SolverFail if the section would need a dense basis above
+    _SPECTRAL_CUTOFF interior nodes: a non-rectangular mask."""
     nw = grid.n_interior
-    curved_or_twisted = any(
-        np.abs(k).max() > 0 for k in (frame.kappa1, frame.kappa2, frame.kappa3)
-    )
-    if curved_or_twisted and not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
-        raise _section_too_large(nw)
+    if not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
+        raise SolverFail(
+            f"section has {nw} interior nodes, above the limit of "
+            f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis the direct "
+            "solve needs on a non-rectangular section; lower section.n"
+        )
 
 
 def _separable_preconditioner(op: TransformedOperator):
@@ -629,9 +602,9 @@ def _separable_preconditioner(op: TransformedOperator):
     Applied as matrix products on the s-major unknowns: the orthonormal
     type-I discrete sine transform matrix along the axis (symmetric, its own
     inverse), the transposed section eigenbasis, the diagonal scaling, and
-    back.  The denominators are the rungs of the separable ladder, minus
-    sigma.  That shift removes exactly the transverse eps^-2 lambda_1 of
-    the ansatz Psi(s) phi_1(xi), so the (1, m) denominators are theta_m,
+    back.  The denominators are the family's rungs, minus sigma.  That
+    shift removes exactly the transverse eps^-2 lambda_1 of the ansatz
+    Psi(s) phi_1(xi), so the (1, m) denominators are theta_m,
     the axial operator alone, and do not depend on eps: the LOBPCG count
     stays flat as the rod thins (a shift a fixed fraction below eps^-2
     lambda_1 leaves the wanted pairs O(eps^-2) above it, and the
@@ -644,27 +617,14 @@ def _separable_preconditioner(op: TransformedOperator):
     1964); any other mask gets a dense eigenbasis from LAPACK's
     divide-and-conquer eigh (driver "evd"), several times faster than the
     default MRRR driver on the section Laplacian's clustered spectrum.
-    The section basis and the axial sine transform are the family's
-    (:attr:`PencilFamily.section_basis`, :attr:`PencilFamily.axial_sine`),
-    built on the first apply of any of its preconditioners, which a
-    straight untwisted rod never reaches (its start block has converged);
-    above _SPECTRAL_CUTOFF nodes that apply raises SolverFail instead.
     """
     ms, nw = op.M_s - 2, op.n_omega
-
-    @functools.cache
-    def scaled():
-        lam_sec, to_modes, from_modes = op.family.section_basis
-        sigma = op.eps**-2.0 * lam_sec.min()
-        inv_denom = 1.0 / (
-            op.eps**-2.0 * lam_sec[:, None]
-            + _dirichlet_eigenvalues(op.frame.h, op.frame.s0, ms)[None, :]
-            - sigma
-        )  # (n_omega, ms)
-        return op.family.axial_sine, to_modes, from_modes, inv_denom
+    family = op.family
+    lam_sec, to_modes, from_modes = family.section_basis
+    sine = family.axial_sine
+    inv_denom = 1.0 / (family.rungs(op.eps, ms) - op.eps**-2.0 * lam_sec.min())
 
     def apply(X):
-        sine, to_modes, from_modes, inv_denom = scaled()
         k = X.size // op.n
         U = sine @ X.reshape(ms, nw * k)
         U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)
@@ -687,7 +647,7 @@ def _svqb(S: np.ndarray) -> np.ndarray:
     return S @ (d[:, None] * V[:, keep] / np.sqrt(theta[keep]))
 
 
-def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
+def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     """Lowest Ritz pairs of H u = lambda B u by block LOBPCG from the block X.
 
     Knyazev's iteration with the explicit orthonormalization of Duersch,
@@ -698,10 +658,12 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
     with X^T H X = diag(lambda).  In y, AX - X lambda = B^-1/2 (H u -
     lambda B u): its column norms over those of X are the rho of
     :func:`_rho`, and B^1/2 (AX - X lambda) is what M is applied to.  It
-    stops once the first K pairs have rho <= stop, checked before each
-    preconditioner apply, or after maxiter steps; the other columns are
-    guards, carried but not required to converge.  Returns (lambda,
-    B-orthonormal u, history entry).
+    stops once the first K pairs have rho <= target / 4, or rho <= target
+    with the largest fallen by less than half in the last step (the
+    rounding floor of rho is near), checked before each preconditioner
+    apply, or after maxiter steps; the other columns are guards, carried
+    but not required to converge.  Returns (lambda, B-orthonormal u,
+    history entry).
     """
     nb = X.shape[1]
     s = np.sqrt(Bd)[:, None]
@@ -732,8 +694,14 @@ def _lobpcg(H, Bd, X, prec, K: int, stop: float, maxiter: int):
         R = X * -lam
         R += AX  # B^-1/2 (H u - lambda B u)
         rho = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
-        stage["residual_history"].append(float(rho[:K].max()))
-        if rho[:K].max() <= stop or stage["iterations"] == maxiter:
+        history = stage["residual_history"]
+        history.append(float(rho[:K].max()))
+        if (
+            history[-1] <= 0.25 * target
+            or (history[-1] <= target and len(history) > 1
+                and history[-1] > 0.5 * history[-2])
+            or stage["iterations"] == maxiter
+        ):
             return lam, X / s, stage
         R *= s  # H u - lambda B u
         stage["iterations"] += 1
@@ -796,12 +764,14 @@ def solve_direct(
     so K may be at most `max_pairs(n)` = n // 4 - 3 (else SolverFail before
     any iteration): with no guard, a cluster cut by the block edge can stall
     LOBPCG short of the target.  It stops once the K requested pairs have
-    rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| <= target / 4; then
-    rho is recomputed from H (:func:`_rho`), and each requested pair must
-    meet target = max(tol, 8 eps_mach ||H||_inf), which the solution
-    records, or SolverFail is raised with the history.  The window edge is
-    the top guard's Ritz value minus its rho: an unconverged guard only
-    lowers it.
+    rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| <= target / 4, or
+    <= target and no longer halving per step; then rho is recomputed from H
+    (:func:`_rho`), and each requested pair must meet target = max(tol,
+    8 eps_mach ||H||_inf), which the solution records, or SolverFail is
+    raised with the history.  The window edge is the top guard's Ritz value
+    minus its rho: an unconverged guard only lowers it.  A non-rectangular
+    section above _SPECTRAL_CUTOFF nodes raises SolverFail when the
+    preconditioner reads the section basis, before any iteration.
 
     The history has one entry: `stage` (always "lobpcg"), `iterations`
     (preconditioned steps), `h_applies` (block products with H inside the
@@ -815,7 +785,6 @@ def solve_direct(
     n = op.n
     if K > n - 1:
         raise ValueError(f"K = {K} too large for {n} unknowns")
-    _check_section_size(op.frame, op.grid)
     H, Bd = op.H, op.B
     hnorm = _inf_norm(H)
     target = max(tol, 8 * _MACH * hnorm)
@@ -826,7 +795,7 @@ def solve_direct(
         )
     nb = min(K + max(_MIN_GUARDS, K), n // 4)
     prec = _separable_preconditioner(op)
-    w, V, stage = _lobpcg(H, Bd, _start_block(op, nb), prec, K, 0.25 * target, maxiter)
+    w, V, stage = _lobpcg(H, Bd, _start_block(op, nb), prec, K, target, maxiter)
     res = _rho(H, Bd, V, w)
     stage["max_resid"] = float(res.max())
     history = [stage]
@@ -981,12 +950,16 @@ def separable_eigenvalues(op: TransformedOperator, count: int):
     """Exact discrete eigenvalues for the straight untwisted rod.
 
     With all curvatures zero, H splits as a Kronecker sum, so its spectrum
-    is the separable ladder (see :func:`separable_ladder`).  Returns the
-    `count` smallest as (value, n, m) triples, ascending.
+    is the separable set eps^-2 lambda_n + theta_m.  Returns the `count`
+    smallest as (value, n, m) triples, ascending, from a sparse section
+    solve independent of the family's section basis.
     """
     if np.abs(op.q).max() > 0 or np.abs(op.frame.kappa3).max() > 0:
         raise ValueError("separable reference requires a straight untwisted rod")
-    spectrum = solve_section(op.grid, min(count, op.n_omega - 2))
-    return separable_ladder(
-        op.frame, spectrum.lam, op.eps, min(count, op.M_s - 2)
+    lam_sec = solve_section(op.grid, min(count, op.n_omega - 2)).lam
+    theta = _dirichlet_eigenvalues(op.frame.h, op.frame.s0, min(count, op.M_s - 2))
+    return sorted(
+        (op.eps**-2.0 * lam + th, n, m)
+        for n, lam in enumerate(lam_sec, start=1)
+        for m, th in enumerate(theta, start=1)
     )[:count]

@@ -543,21 +543,26 @@ def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, fie
 def test_main_exit_two_on_section_above_spectral_cutoff(
     tmp_path, capsys, monkeypatch
 ):
-    # a curved or twisted rod on a non-rectangular section is rejected
-    # before any section solve, recurrence or assembly
+    # a non-rectangular section above the limit is rejected before any
+    # section solve, recurrence or assembly; a straight untwisted rod too,
+    # since its start block reads the same dense section basis
     monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("pre-flight check ran too late")
 
     monkeypatch.setattr(cli, "solve_section", unreachable)
+    monkeypatch.setattr(cli.oracle, "solve_section", unreachable)
     monkeypatch.setattr(cli.engine, "run_recurrence", unreachable)
     monkeypatch.setattr(cli.oracle, "assemble", unreachable)
     monkeypatch.setattr(cli.oracle, "PencilFamily", unreachable)
-    for command, eps in (("verify", 0.2), ("sweep", [0.2, 0.1])):
-        path = write_config(
-            tmp_path, {"epsilon": eps}, base=DISK_HELIX
-        )
+    straight_disk = {**STRAIGHT, "section": DISK_HELIX["section"]}
+    for base, command, eps in (
+        (DISK_HELIX, "verify", 0.2),
+        (DISK_HELIX, "sweep", [0.2, 0.1]),
+        (straight_disk, "verify", 0.2),
+    ):
+        path = write_config(tmp_path, {"epsilon": eps}, base=base)
         code, payload = run_main(
             [command, "--config", str(path), "--out", str(tmp_path)], capsys
         )
@@ -604,6 +609,67 @@ def test_straight_rod_above_spectral_cutoff_still_solves(
     )
     assert code == 0
     assert payload == {"failures": []}
+
+
+def test_verify_runs_one_section_solve(tmp_path, monkeypatch):
+    # the recurrences' section solve is the only one: the start block, the
+    # preconditioner and the eigenpair count read the family's basis
+    calls = []
+    solve_section = cli.solve_section
+
+    def counting(grid, count):
+        calls.append(count)
+        return solve_section(grid, count)
+
+    monkeypatch.setattr(cli, "solve_section", counting)
+    monkeypatch.setattr(cli.oracle, "solve_section", counting)
+    for base in (HELIX, DISK_HELIX):
+        calls.clear()
+        path = write_config(tmp_path, {"epsilon": 0.2}, base=base)
+        assert cli.cmd_verify(cli.parse_config(path), tmp_path) == []
+        assert calls == [2]
+
+
+def test_auto_count_covers_every_section_mode(tmp_path, capsys):
+    # on the square lambda_2 = lambda_3: the rungs of section mode 3 lie
+    # below (1, 22) at eps 0.3 and must be counted, or the window ends
+    # below the mode (a ladder of two section modes computed 35 pairs and
+    # matched eigenvalue 34, 592.8 against the exact 654.5)
+    path = write_config(
+        tmp_path,
+        {"M_s": 64, "order": 2, "modes": [[1, 22]], "epsilon": 0.3},
+    )
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    assert report["eigenpairs_computed"] == 46
+    (row,) = report["rows"]
+    assert row["bound_ok"] is True
+    assert row["match_index"] == 43
+    assert row["abs_gap"] < 1e-9 * row["lambda_direct"]
+
+
+@pytest.mark.parametrize("command, eps", [("verify", 0.2), ("sweep", [0.2, 0.1])])
+def test_report_records_each_residual_target(tmp_path, monkeypatch, command, eps):
+    # the target each solve certified, the sweep's noise floor, is in the
+    # JSON report per eps, in solve order
+    targets = []
+    solve_direct = cli.oracle.solve_direct
+
+    def recording(*args, **kwargs):
+        sol = solve_direct(*args, **kwargs)
+        targets.append([sol.op.eps, sol.target])
+        return sol
+
+    monkeypatch.setattr(cli.oracle, "solve_direct", recording)
+    path = write_config(tmp_path, {"epsilon": eps}, base=HELIX)
+    getattr(cli, f"cmd_{command}")(cli.parse_config(path), tmp_path)
+    report = json.loads((tmp_path / f"thinrod_{command}.json").read_text())
+    assert len(targets) == (1 if command == "verify" else 2)
+    assert report["residual_targets"] == targets
 
 
 def test_main_exit_two_on_solver_fail_reports_history(tmp_path, capsys):

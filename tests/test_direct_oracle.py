@@ -301,16 +301,22 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-def test_straight_untwisted_solve_builds_no_section_basis(monkeypatch):
-    # the separable start block is exact on a straight untwisted rod, so
-    # LOBPCG never applies the preconditioner and its dense basis is never built
+@pytest.mark.parametrize("section", ["square", "disk"])
+def test_straight_untwisted_solve_never_applies_the_preconditioner(
+    monkeypatch, section
+):
+    # the start block is columns of the separable eigenbasis, exact on a
+    # straight untwisted rod, so LOBPCG never applies the preconditioner;
+    # the square's basis is closed-form, the disk's one dense eigh
     calls = _count_eigh(monkeypatch)
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
-    op = assemble(fr, square_grid(1.0, 10), 0.2)
+    grid = square_grid(1.0, 10) if section == "square" else disk_grid(0.5, 12)
+    op = assemble(fr, grid, 0.2)
     sol = solve_direct(op, 3)
     assert [h["stage"] for h in sol.history] == ["lobpcg"]
     assert sol.history[0]["prec_applies"] == 0
-    assert calls == []
+    assert calls == ([] if section == "square" else [(op.n_omega, op.n_omega)])
+    assert np.all(sol.residuals <= sol.target)
 
 
 def test_curved_solve_builds_section_basis_once(monkeypatch):
@@ -322,11 +328,12 @@ def test_curved_solve_builds_section_basis_once(monkeypatch):
     assert calls == [(op.n_omega, op.n_omega)]
 
 
-def test_disk_family_solves_three_eps_with_one_basis_and_one_section_solve(
+def test_disk_family_solves_three_eps_with_one_basis_and_no_section_solve(
     monkeypatch,
 ):
-    # the section eigenbasis and the start block's section modes do not
-    # depend on eps: a family solved at three eps builds each once
+    # the separable eigenbasis does not depend on eps: a family solved at
+    # three eps builds it once, and the start block reads it too, so the
+    # family never runs the sparse section solve
     eighs = _count_eigh(monkeypatch)
     sections = []
     solve_section_ = direct_oracle.solve_section
@@ -341,7 +348,7 @@ def test_disk_family_solves_three_eps_with_one_basis_and_one_section_solve(
         op = family.assemble(eps)
         assert solve_direct(op, 3).history[0]["prec_applies"] > 0
     assert eighs == [(op.n_omega, op.n_omega)]
-    assert len(sections) == 1
+    assert sections == []
 
 
 def test_curved_square_solve_runs_no_eigh(monkeypatch):
@@ -426,13 +433,18 @@ def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
         solve_direct(op, 3)
 
 
-def test_preconditioner_above_spectral_cutoff_refuses_on_first_apply(monkeypatch):
-    # building the operator is free; only applying it would need the basis
+def test_preconditioner_above_spectral_cutoff_refuses_on_build(monkeypatch):
+    # the preconditioner reads the section basis when it is built, so a
+    # section above the limit is refused before anything is applied; a
+    # rectangle of the same size needs no dense basis and builds
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
     monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
-    prec = direct_oracle._separable_preconditioner(op)
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
-        prec @ np.ones(op.n)
+        direct_oracle._separable_preconditioner(op)
+    square = _helix_op(eps=0.2, n=10, M_s=20)
+    assert square.n_omega > 16
+    prec = direct_oracle._separable_preconditioner(square)
+    assert np.all(np.isfinite(prec @ np.ones(square.n)))
 
 
 def test_lobpcg_short_of_target_raises_solver_fail_with_history():
@@ -445,6 +457,25 @@ def test_lobpcg_short_of_target_raises_solver_fail_with_history():
     assert stage["stage"] == "lobpcg"
     assert stage["residual_history"]
     assert stage["residual_history"][-1] > 1e-8
+
+
+def test_lobpcg_stops_at_the_rounding_floor_of_rho():
+    # near its rounding floor rho wanders instead of falling.  With the
+    # target at 3x the lowest rho of a 40-step run, a quarter of the target
+    # is never reached, so the run stops on the second rule: rho <= target
+    # and the last step did not halve it (measured: 8 steps)
+    op = _helix_op(eps=0.05, n=10, M_s=20)
+    X = direct_oracle._start_block(op, 6)
+    prec = direct_oracle._separable_preconditioner(op)
+    *_, probe = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, 0.0, 40)
+    assert probe["iterations"] == 40
+    target = 3 * min(probe["residual_history"])
+    lam, V, stage = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, target, 40)
+    assert stage["iterations"] <= 15
+    history = stage["residual_history"]
+    assert target / 4 < history[-1] <= target
+    assert history[-1] > 0.5 * history[-2]
+    assert np.all(direct_oracle._rho(op.H, op.B, V[:, :3], lam[:3]) <= target)
 
 
 def test_solver_keeps_three_guard_columns_at_the_block_limit(monkeypatch):
