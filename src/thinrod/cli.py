@@ -9,7 +9,10 @@ are printed as a machine-readable JSON list and yield exit code 1
 (2 for configuration or solver errors, and for any other exception, which
 is reported as an "internal" failure instead of a traceback).
 
-Config schema (unknown fields are rejected, naming the offending path):
+Config schema (unknown fields are rejected, naming the offending path;
+list entries must be numbers, and an error names the entry, e.g.
+`section.center[1]`; a mask file that cannot be read or parsed is an error
+on `section.path`):
 
     {
       "curve":   {"kind": "straight" | "circular_arc" | "helix" | "sampled",
@@ -20,7 +23,7 @@ Config schema (unknown fields are rejected, naming the offending path):
       "section": {"kind": "square" | "disk" | "mask", "side": float,
                   "radius": float, "n": int, "center": [float, float],
                   "path": "mask-file"},
-      "M_s":     int   (default 256, grid nodes along the curve),
+      "M_s":     int   (>= 16, default 256, grid nodes along the curve),
       "modes":   [[n, m], ...]  (distinct; default [[1, 1]]),
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
@@ -68,7 +71,10 @@ _DEFAULT_M_S = 256
 _DEFAULT_SECTION_N = 96
 _DEFAULT_RHO_SLOPE_MIN = 1.5
 
-_VERIFY_HEADER = "eps,m,lambda_direct,lambda_partial,abs_gap,residual_rho,sin_angle"
+# the verify/sweep CSV columns, read from each JSON row: m as an integer,
+# the rest with _f17
+_VERIFY_COLUMNS = ("eps", "m", "lambda_direct", "lambda_partial", "abs_gap",
+                   "residual_rho", "sin_angle")
 _EXPAND_HEADER = "n,m,i,lambda_i"
 
 
@@ -89,7 +95,6 @@ class RunConfig:
     """Parsed, validated run description with the geometry prebuilt."""
 
     raw: dict
-    curve: CurveSpec
     frame: object
     grid: object
     M_s: int
@@ -108,25 +113,35 @@ def _reject_unknown(d: dict, allowed, path: str) -> None:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
 
 
+def _check(v, kind, where):
+    """`v` as a float, int, bool, str, dict or list, or a ConfigError on
+    `where`.  An integer is accepted as a number if a float can hold it."""
+    if isinstance(v, bool) and kind is not bool:
+        pass  # JSON's true and false are Python ints, never numbers here
+    elif isinstance(v, kind):
+        return v
+    elif kind is float and isinstance(v, int) and abs(v) <= sys.float_info.max:
+        return float(v)
+    expected = {float: "a number", int: "an integer", bool: "true or false"}
+    raise ConfigError(where, f"expected {expected.get(kind, kind.__name__)}")
+
+
 def _get(d, key, kind, path, default=None, required=False):
+    where = f"{path}.{key}" if path else key
     if key not in d:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing field")
+            raise ConfigError(where, "missing field")
         return default
-    v = d[key]
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}.{key}" if path else key, "expected a number")
-        return float(v)
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}.{key}" if path else key, "expected an integer")
-        return v
-    if not isinstance(v, kind):
-        raise ConfigError(
-            f"{path}.{key}" if path else key, f"expected {kind.__name__}"
-        )
-    return v
+    return _check(d[key], kind, where)
+
+
+def _vector(v, where, size=None) -> np.ndarray:
+    """A list of numbers (exactly `size` of them, if given) as a float array;
+    an entry that is not a number is reported as `where[k]`."""
+    v = _check(v, list, where)
+    if size is not None and len(v) != size:
+        raise ConfigError(where, f"expected a list of {size} numbers")
+    return np.array([_check(x, float, f"{where}[{k}]") for k, x in enumerate(v)])
 
 
 def _parse_curve(d: dict) -> CurveSpec:
@@ -140,14 +155,12 @@ def _parse_curve(d: dict) -> CurveSpec:
     if kind not in ("straight", "circular_arc", "helix", "sampled"):
         raise ConfigError("curve.kind", f"unknown curve kind {kind!r}")
     twist = _get(d, "twist", str, "curve", default="none")
-    points = d.get("points")
+    points = _get(d, "points", list, "curve")
     if points is not None:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ConfigError("curve.points", "expected a list of [x, y, z]")
-    tv = d.get("twist_values")
-    if tv is not None:
-        tv = np.asarray(tv, dtype=float)
+        points = np.array(
+            [_vector(p, f"curve.points[{k}]", 3) for k, p in enumerate(points)]
+        ).reshape(-1, 3)
+    tv = _get(d, "twist_values", list, "curve")
     return CurveSpec(
         kind=kind,
         s0=_get(d, "s0", float, "curve", default=0.0),
@@ -157,7 +170,7 @@ def _parse_curve(d: dict) -> CurveSpec:
         points=points,
         twist=twist,
         twist_rate=_get(d, "twist_rate", float, "curve", default=0.0),
-        twist_values=tv,
+        twist_values=None if tv is None else _vector(tv, "curve.twist_values"),
     )
 
 
@@ -165,10 +178,7 @@ def _parse_section(d: dict):
     _reject_unknown(d, {"kind", "side", "radius", "n", "center", "path"}, "section")
     kind = _get(d, "kind", str, "section", required=True)
     n = _get(d, "n", int, "section", default=_DEFAULT_SECTION_N)
-    center = d.get("center", [0.0, 0.0])
-    if not (isinstance(center, list) and len(center) == 2):
-        raise ConfigError("section.center", "expected [c2, c3]")
-    center = (float(center[0]), float(center[1]))
+    center = tuple(_vector(d.get("center", [0.0, 0.0]), "section.center", 2))
     if kind == "square":
         return square_grid(_get(d, "side", float, "section", default=1.0), n, center)
     if kind == "disk":
@@ -202,16 +212,14 @@ def parse_config(path) -> RunConfig:
          "output", "dump_matrix", "thresholds", "rng_free"},
         "",
     )
-    if "curve" not in raw:
-        raise ConfigError("curve", "missing field")
-    if "section" not in raw:
-        raise ConfigError("section", "missing field")
     if raw.get("rng_free", True) is not True:
         raise ConfigError("rng_free", "runs are always deterministic; must be true")
 
     curve = _parse_curve(_get(raw, "curve", dict, "", required=True))
     grid = _parse_section(_get(raw, "section", dict, "", required=True))
     M_s = _get(raw, "M_s", int, "", default=_DEFAULT_M_S)
+    if M_s < 16:
+        raise ConfigError("M_s", "expected an integer >= 16")
     order = _get(raw, "order", int, "", default=_DEFAULT_ORDER)
     if order < 1:
         raise ConfigError("order", "expansion order must be >= 1")
@@ -241,10 +249,10 @@ def parse_config(path) -> RunConfig:
         values = eps_raw if eps_is_list else [eps_raw]
         epsilons = []
         for k, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"epsilon[{k}]" if eps_is_list else "epsilon",
-                                  "expected a positive number")
-            epsilons.append(float(v))
+            where = f"epsilon[{k}]" if eps_is_list else "epsilon"
+            epsilons.append(_check(v, float, where))
+            if epsilons[-1] <= 0:
+                raise ConfigError(where, "expected a positive number")
         if len(set(epsilons)) != len(epsilons):
             raise ConfigError("epsilon", "values must be distinct")
 
@@ -270,9 +278,7 @@ def parse_config(path) -> RunConfig:
     _reject_unknown(user_thr, set(thresholds), "thresholds")
     for key in user_thr:
         thresholds[key] = _get(user_thr, key, float, "thresholds")
-    dump = raw.get("dump_matrix", False)
-    if not isinstance(dump, bool):
-        raise ConfigError("dump_matrix", "expected true or false")
+    dump = _get(raw, "dump_matrix", bool, "", default=False)
 
     try:
         frame = build_frame(curve, M_s)
@@ -297,7 +303,6 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(
         raw=raw,
-        curve=curve,
         frame=frame,
         grid=grid,
         M_s=M_s,
@@ -373,20 +378,6 @@ def _row_failures(eps, rep):
                  "message": "nearest computed eigenvalue farther than rho"}
             )
     return failures
-
-
-def _csv_line(eps, r) -> str:
-    return ",".join(
-        [
-            _f17(eps),
-            str(r.m),
-            _f17(r.lambda_direct),
-            _f17(r.lambda_partial),
-            _f17(r.abs_gap),
-            _f17(r.rho),
-            _f17(r.sin_angle),
-        ]
-    )
 
 
 def _row_json(eps, r) -> dict:
@@ -476,13 +467,12 @@ def _grid_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
+def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     """The certification loop verify and sweep share (see the module notes).
 
-    Returns the CSV lines and the report entries `eigenpairs_computed`,
-    `residual_targets` ([eps, the residual target its solve certified], in
-    solve order), `rows`, `warnings` (UnderresolvedWindow messages) and
-    `failures`.
+    Returns the report entries `eigenpairs_computed`, `residual_targets`
+    ([eps, the residual target its solve certified], in solve order),
+    `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
     """
     try:
         oracle._check_section_size(cfg.grid)
@@ -492,7 +482,6 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
     states = _run_states(cfg, spectrum)
     family = oracle.PencilFamily(cfg.frame, cfg.grid)
     K = _auto_count(cfg, family)
-    lines = [_VERIFY_HEADER]
     rows, failures, window_warnings, targets = [], [], [], []
     for eps in eps_list:
         op = family.assemble(eps)
@@ -501,7 +490,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
         )
         if cfg.dump_matrix:
             out_dir.mkdir(parents=True, exist_ok=True)
-            oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps:g}.mtx")
+            oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps!r}.mtx")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = oracle.compare(sol, states, eps)
@@ -511,23 +500,25 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> tuple[list, dict]:
             if issubclass(c.category, UnderresolvedWindow):
                 window_warnings.append(str(c.message))
         failures.extend(_row_failures(eps, rep))
-        for r in rep.rows:
-            lines.append(_csv_line(eps, r))
-            rows.append(_row_json(eps, r))
-    entries = {
+        rows.extend(_row_json(eps, r) for r in rep.rows)
+    return {
         "eigenpairs_computed": K,
         "residual_targets": targets,
         "rows": rows,
         "warnings": window_warnings,
         "failures": failures,
     }
-    return lines, entries
 
 
 def _write_report(
-    cfg: RunConfig, out_dir: Path, command: str, lines, entries, **extra
+    cfg: RunConfig, out_dir: Path, command: str, entries, **extra
 ) -> list:
-    """Write `<prefix>_<command>.csv` and its JSON report; return the failures."""
+    """Write `<prefix>_<command>.csv` (one line per entry of `rows`) and its
+    JSON report; return the failures."""
+    lines = [",".join(_VERIFY_COLUMNS)] + [
+        ",".join(str(r[c]) if c == "m" else _f17(r[c]) for c in _VERIFY_COLUMNS)
+        for r in entries["rows"]
+    ]
     report = {
         "command": command,
         "config": cfg.raw,
@@ -551,8 +542,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     if not cfg.epsilons or len(cfg.epsilons) != 1:
         raise ConfigError("epsilon", "verify needs exactly one epsilon value")
     out_dir = Path(out_dir)
-    lines, entries = _certify(cfg, out_dir, cfg.epsilons)
-    return _write_report(cfg, out_dir, "verify", lines, entries)
+    return _write_report(cfg, out_dir, "verify", _certify(cfg, out_dir, cfg.epsilons))
 
 
 def _fit_slope(eps_list, values):
@@ -577,7 +567,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
         raise ConfigError("epsilon", "sweep needs a list of at least two values")
     out_dir = Path(out_dir)
     eps_order = sorted(cfg.epsilons, reverse=True)
-    lines, entries = _certify(cfg, out_dir, eps_order)
+    entries = _certify(cfg, out_dir, eps_order)
     rows, failures = entries["rows"], entries["failures"]
     targets = [t for _, t in entries["residual_targets"]]
 
@@ -606,7 +596,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> list:
                  "message": "residual certificate rate below threshold"}
             )
     return _write_report(
-        cfg, out_dir, "sweep", lines, entries,
+        cfg, out_dir, "sweep", entries,
         slopes=slopes, thresholds=cfg.thresholds,
     )
 

@@ -97,20 +97,24 @@ def disk_grid(radius: float, n: int, center=(0.0, 0.0)) -> SectionGrid:
 
 
 def mask_grid(path) -> SectionGrid:
-    """Load a text mask: first line "ny nz h", then ny rows of nz 0/1 tokens."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Load a text mask: first line "ny nz h", then ny rows of nz 0/1 tokens;
+    a file that cannot be read or parsed is a ConfigError on `section.path`."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError("section.path", f"cannot read mask file: {e}") from e
     try:
         ny_s, nz_s, h_s = lines[0].split()
         ny, nz, h = int(ny_s), int(nz_s), float(h_s)
     except (ValueError, IndexError):
-        raise ConfigError("section.mask_file", "header must be 'ny nz h'")
+        raise ConfigError("section.path", "header must be 'ny nz h'")
     if h <= 0 or ny < 1 or nz < 1 or len(lines) != ny + 1:
-        raise ConfigError("section.mask_file", "bad header or row count")
+        raise ConfigError("section.path", "bad header or row count")
     rows = []
     for k, line in enumerate(lines[1:]):
         toks = line.split() if " " in line else list(line.strip())
         if len(toks) != nz or any(t not in ("0", "1") for t in toks):
-            raise ConfigError("section.mask_file", f"row {k}: expected {nz} 0/1 tokens")
+            raise ConfigError("section.path", f"row {k}: expected {nz} 0/1 tokens")
         rows.append([t == "1" for t in toks])
     mask = np.array(rows, dtype=bool)
     x2 = h * (np.arange(ny) - (ny - 1) / 2)

@@ -116,6 +116,10 @@ def test_missing_and_mistyped_fields(tmp_path):
     assert config_error(
         tmp_path, {"section": {"kind": "square", "center": [0.0]}}
     ).path == "section.center"
+    # a bool is not a number; the error names the entry
+    assert config_error(
+        tmp_path, {"section": {"kind": "square", "center": [True, 0]}}
+    ).path == "section.center[0]"
 
 
 def test_modes_validation(tmp_path):
@@ -318,6 +322,18 @@ def test_verify_dump_matrix_creates_the_out_directory(tmp_path, capsys):
     assert (out / "thinrod_verify.json").exists()
 
 
+def test_sweep_dump_matrix_writes_one_file_per_eps(tmp_path):
+    # 0.1 and 0.1000001 print alike under "g"; the file names use repr
+    cfg = cli.parse_config(
+        write_config(tmp_path, {"epsilon": [0.1, 0.1000001], "dump_matrix": True,
+                                "modes": [[1, 1]]})
+    )
+    cli.cmd_sweep(cfg, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("*.mtx")) == [
+        "thinrod_H_eps0.1.mtx", "thinrod_H_eps0.1000001.mtx"
+    ]
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -487,6 +503,14 @@ def _config_text(tmp_path, text):
     return path
 
 
+def _mask_config(tmp_path, data=None):
+    # a mask section read from `data`, or from a missing file when None
+    mask = tmp_path / "sec.mask"
+    if data is not None:
+        mask.write_bytes(data)
+    return write_config(tmp_path, {"section": {"kind": "mask", "path": str(mask)}})
+
+
 @pytest.mark.parametrize(
     "make, field",
     [
@@ -521,11 +545,36 @@ def _config_text(tmp_path, text):
         # a mode listed twice would pair twice with the same eigenvalue
         (lambda t: write_config(t, {"modes": [[1, 1], [1, 2], [1, 1]]}),
          "modes[2]"),
+        # list entries go through the same typed reader as scalar fields
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8, "center": ["a", 0]}}),
+         "section.center[0]"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8, "center": [True, 0]}}),
+         "section.center[0]"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": [[0, 0, "a"]]}}),
+         "curve.points[0][2]"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": 3.0, "twist": "tabulated",
+                          "twist_values": ["x"]}}),
+         "curve.twist_values[0]"),
+        # an integer literal no float can hold
+        (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": 10**400}}),
+         "curve.s0"),
+        (lambda t: write_config(t, {"M_s": 10}), "M_s"),
+        (lambda t: _mask_config(t), "section.path"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "mask", "path": str(t)}}), "section.path"),
+        (lambda t: _mask_config(t, b"\xff\xfe 3 3\n"), "section.path"),
+        (lambda t: _mask_config(t, b"not a header\n"), "section.path"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
          "sampled-duplicate-point", "twist-spiral", "s0-zero", "s0-negative",
-         "modes-duplicate"],
+         "modes-duplicate", "center-string", "center-bool", "points-string",
+         "twist-values-string", "s0-huge-integer", "M_s-below-16",
+         "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,
