@@ -252,8 +252,9 @@ class ExpansionState:
     lam holds lambda_{-2} .. lambda_{N-2} (lam[i + 2] = lambda_i);
     lam_diag is the next, truncated coefficient lambda_{N-1}, kept as a
     convergence hint. Psi rows are the longitudinal profiles Psi_0..Psi_N
-    (Psi_N = 0 by truncation), psi_tilde and psi the correction fields,
-    with psi_i = psi_tilde_i + (1/2) Psi_{i-1} q phi + Psi_i phi.
+    (Psi_N = 0 by truncation), psi the correction fields, with
+    psi_i = psi~_i + (1/2) Psi_{i-1} q phi + Psi_i phi and psi~_i orthogonal
+    to phi on every s-row (the recurrence holds only psi~_i and psi~_{i+1}).
     solve_defects records the relative orthogonality defect that
     cross_section.deflated_solve measured on every deflated solve's
     right-hand side (0.0 where it cancelled to residue and was not solved).
@@ -265,7 +266,6 @@ class ExpansionState:
     lam: np.ndarray
     lam_diag: float
     Psi: np.ndarray
-    psi_tilde: np.ndarray
     psi: np.ndarray
     ctx: EngineContext
     lam0: float
@@ -317,7 +317,7 @@ def run_recurrence(
 
     Psi = np.zeros((N + 1, M_s))
     Psi[0] = Psi0
-    psi_tilde = np.zeros((N + 1, M_s, nw))
+    pt = np.zeros((M_s, nw))  # psi~_i entering step i; psi~_1 = 0
     psi = np.zeros((N + 1, M_s, nw))
     qphi = ctx.q * ctx.phi[None, :]
     psi[0] = Psi0[:, None] * ctx.phi[None, :]
@@ -346,10 +346,11 @@ def run_recurrence(
             g_scale = max(g_scale, abs(lam_all[j]) * psi_scale[i + 1 - j])
             G += lam_all[j] * psi[i + 1 - j]
         base = max(base, g_scale)
+        pt_next = np.zeros((M_s, nw))  # psi~_{i+1}
         if _row_scale(h2, G) <= 1e-10 * base:
             defects.append((f"section i={i + 1} (zero rhs)", 0.0))
         else:
-            psi_tilde[i + 1][1:-1], defect = deflated_resolvent(
+            pt_next[1:-1], defect = deflated_resolvent(
                 spectrum, n, G[1:-1], noise_floor=g_scale
             )
             defects.append((f"section i={i + 1}", defect))
@@ -357,9 +358,9 @@ def run_recurrence(
         # F~_{i+2}: F_2 takes psi_i without its Psi_i phi part (not known
         # yet; _ftilde adds it next step), and the lambda terms fold into
         # one q sum_{j=3}^{i+2} lambda_{j-3} psi_{i+2-j}
-        U2 = psi_tilde[i] + 0.5 * Psi[i - 1][:, None] * qphi
+        U2 = pt + 0.5 * Psi[i - 1][:, None] * qphi
         RU2 = _sec(ctx.spectrum.ops.R, U2)
-        Ft = _f1_minus_lq(ctx, psi_tilde[i + 1], ctx.lam_n)
+        Ft = _f1_minus_lq(ctx, pt_next, ctx.lam_n)
         Ft += apply_Fj(ctx, 2, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
         Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft
@@ -398,9 +399,10 @@ def run_recurrence(
         psi_scale[i] = _row_scale(h2, psi[i])
         if i < N - 1:
             Rpsi[i] = RU2 + Psi[i][:, None] * ctx.Rphi[None, :]
+        pt = pt_next
 
     # truncation: Psi_N = 0
-    psi[N] = psi_tilde[N] + 0.5 * Psi[N - 1][:, None] * qphi
+    psi[N] = pt + 0.5 * Psi[N - 1][:, None] * qphi
 
     return ExpansionState(
         n=n,
@@ -409,7 +411,6 @@ def run_recurrence(
         lam=lam_all[: N + 1].copy(),
         lam_diag=float(lam_all[N + 1]),
         Psi=Psi,
-        psi_tilde=psi_tilde,
         psi=psi,
         ctx=ctx,
         lam0=lam0,

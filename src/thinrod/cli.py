@@ -11,8 +11,9 @@ is reported as an "internal" failure instead of a traceback).
 
 Config schema (unknown fields are rejected, naming the offending path;
 list entries must be numbers, and an error names the entry, e.g.
-`section.center[1]`; a mask file that cannot be read or parsed is an error
-on `section.path`):
+`section.center[1]`; a number must be finite, so NaN and Infinity, which
+json reads, are refused, and an integer must lie below 2**31 in magnitude;
+a mask file that cannot be read or parsed is an error on `section.path`):
 
     {
       "curve":   {"kind": "straight" | "circular_arc" | "helix" | "sampled",
@@ -115,13 +116,21 @@ def _reject_unknown(d: dict, allowed, path: str) -> None:
 
 def _check(v, kind, where):
     """`v` as a float, int, bool, str, dict or list, or a ConfigError on
-    `where`.  An integer is accepted as a number if a float can hold it."""
+    `where`.  A number must be finite (json reads NaN and Infinity), and an
+    integer is accepted as one if a float can hold it; an integer must lie
+    below 2**31 in magnitude, the range of H's int32 indices."""
     if isinstance(v, bool) and kind is not bool:
         pass  # JSON's true and false are Python ints, never numbers here
+    elif kind is float and isinstance(v, (int, float)):
+        if abs(v) <= sys.float_info.max:  # false for NaN and +-inf
+            return float(v)
+        raise ConfigError(where, "expected a finite number")
+    elif kind is int and isinstance(v, int):
+        if abs(v) < 2**31:
+            return v
+        raise ConfigError(where, "expected an integer of magnitude below 2**31")
     elif isinstance(v, kind):
         return v
-    elif kind is float and isinstance(v, int) and abs(v) <= sys.float_info.max:
-        return float(v)
     expected = {float: "a number", int: "an integer", bool: "true or false"}
     raise ConfigError(where, f"expected {expected.get(kind, kind.__name__)}")
 
@@ -443,7 +452,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
                 "solve_defects": [[label, float(v)] for label, v in st.solve_defects],
             }
         )
-        del st  # one mode's fields (psi, psi_tilde) alive at a time
+        del st  # one mode's fields (Psi, psi) alive at a time
     sidecar = {
         "command": "expand",
         "config": cfg.raw,

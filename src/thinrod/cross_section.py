@@ -1,6 +1,10 @@
 """Cross-section eigenproblem on a masked uniform grid.
 
 5-point Dirichlet Laplacian with zero extension outside the mask.
+All five stencils (S, the central differences D2/D3 and the neighbour
+averages M2/M3) come from one builder, `_pair_matrix`, that puts a weight
+on each neighbour pair along an axis, one on its reverse and, for S, one
+on the diagonal; R = xi3 D2 - xi2 D3 is formed from D2 and D3.
 Discrete inner product: <u,v> = h^2 sum(u v) over interior nodes.
 Eigenvectors are normalized in that inner product and sign-fixed so the
 largest-magnitude entry is positive.
@@ -154,49 +158,29 @@ def _component_count(idx, n) -> int:
             root = up
 
 
-def laplacian(grid: SectionGrid) -> sp.csr_matrix:
-    """S = -Delta_h, SPD, exactly symmetric."""
+def _pair_matrix(grid: SectionGrid, axis, w_ab, w_ba, diag=None) -> sp.csr_matrix:
+    """w_ab at (a, b) and w_ba at (b, a) for every neighbour pair a, b along
+    `axis` (one axis or a tuple of them), and `diag` on the diagonal when
+    given; zero extension outside the mask."""
     n = grid.n_interior
-    h2 = grid.h**2
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 / h2)]
-    for ax in (0, 1):
+    rows, cols, vals = [], [], []
+    if diag is not None:
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, diag)]
+    for ax in axis if isinstance(axis, tuple) else (axis,):
         a, b = _neighbor_pairs(grid.idx, ax)
         rows += [a, b]
         cols += [b, a]
-        vals += [np.full(a.size, -1.0 / h2)] * 2
-    S = sp.csr_matrix(
+        vals += [np.full(a.size, w_ab), np.full(a.size, w_ba)]
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    S.sum_duplicates()
-    return S
 
 
-def _first_difference(grid: SectionGrid, axis) -> sp.csr_matrix:
-    """Central difference with zero extension; exactly skew-symmetric."""
-    n = grid.n_interior
-    a, b = _neighbor_pairs(grid.idx, axis)
-    w = 1.0 / (2 * grid.h)
-    return sp.csr_matrix(
-        (
-            np.concatenate([np.full(a.size, w), np.full(a.size, -w)]),
-            (np.concatenate([a, b]), np.concatenate([b, a])),
-        ),
-        shape=(n, n),
-    )
-
-
-def _neighbor_average(grid: SectionGrid, axis) -> sp.csr_matrix:
-    n = grid.n_interior
-    a, b = _neighbor_pairs(grid.idx, axis)
-    half = np.full(a.size, 0.5)
-    return sp.csr_matrix(
-        (
-            np.concatenate([half, half]),
-            (np.concatenate([a, b]), np.concatenate([b, a])),
-        ),
-        shape=(n, n),
-    )
+def laplacian(grid: SectionGrid) -> sp.csr_matrix:
+    """S = -Delta_h, SPD, exactly symmetric."""
+    h2 = grid.h**2
+    return _pair_matrix(grid, (0, 1), -1.0 / h2, -1.0 / h2, diag=4.0 / h2)
 
 
 @dataclass
@@ -212,12 +196,12 @@ class SectionOperators:
 
 
 def build_operators(grid: SectionGrid) -> SectionOperators:
-    D2 = _first_difference(grid, 0)
-    D3 = _first_difference(grid, 1)
+    w = 1.0 / (2 * grid.h)  # central differences D, exactly skew-symmetric
+    D2, D3 = (_pair_matrix(grid, ax, w, -w) for ax in (0, 1))
     R = sp.diags(grid.xi3) @ D2 - sp.diags(grid.xi2) @ D3
     return SectionOperators(
-        laplacian(grid), D2, D3, _neighbor_average(grid, 0),
-        _neighbor_average(grid, 1), R.tocsr(),
+        laplacian(grid), D2, D3, _pair_matrix(grid, 0, 0.5, 0.5),
+        _pair_matrix(grid, 1, 0.5, 0.5), R.tocsr(),
     )
 
 

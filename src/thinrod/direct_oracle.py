@@ -56,9 +56,10 @@ some eigenvalue of the pencil lies within rho of lambda (Parlett, The
 Symmetric Eigenvalue Problem).  The run stops once the K requested pairs
 reach a quarter of ``target = max(tol, 8 * eps_mach * ||H||_inf)`` (tol is
 1e-8 by default; the second term is the floating-point floor of rho), or
-reach the target itself while no longer halving it per step, and each
-must then meet the target, or the solve raises SolverFail with LOBPCG's
-residual history.  The guard columns beyond K only set the window edge and
+reach the target itself while no longer halving it per step, provided
+rho recomputed from H meets the target as well; a run that ends at maxiter
+must still meet it, or the solve raises SolverFail with LOBPCG's residual
+history.  The guard columns beyond K only set the window edge and
 need not converge.
 """
 
@@ -661,9 +662,12 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     stops once the first K pairs have rho <= target / 4, or rho <= target
     with the largest fallen by less than half in the last step (the
     rounding floor of rho is near), checked before each preconditioner
-    apply, or after maxiter steps; the other columns are guards, carried
-    but not required to converge.  Returns (lambda, B-orthonormal u,
-    history entry).
+    apply.  Near that floor the accumulated AX drifts from H X by a few
+    percent of rho, so such a stop is taken only if rho recomputed from H
+    (:func:`_rho`) also meets the target; it always stops after maxiter
+    steps.  The other columns are guards, carried but not required to
+    converge.  Returns (lambda, B-orthonormal u, history entry, recomputed
+    rho of every column).
     """
     nb = X.shape[1]
     s = np.sqrt(Bd)[:, None]
@@ -702,7 +706,10 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
                 and history[-1] > 0.5 * history[-2])
             or stage["iterations"] == maxiter
         ):
-            return lam, X / s, stage
+            V = X / s
+            res = _rho(H, Bd, V, lam)
+            if res[:K].max() <= target or stage["iterations"] == maxiter:
+                return lam, V, stage, res
         R *= s  # H u - lambda B u
         stage["iterations"] += 1
         stage["prec_applies"] += 1
@@ -765,10 +772,11 @@ def solve_direct(
     any iteration): with no guard, a cluster cut by the block edge can stall
     LOBPCG short of the target.  It stops once the K requested pairs have
     rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| <= target / 4, or
-    <= target and no longer halving per step; then rho is recomputed from H
-    (:func:`_rho`), and each requested pair must meet target = max(tol,
-    8 eps_mach ||H||_inf), which the solution records, or SolverFail is
-    raised with the history.  The window edge is the top guard's Ritz value
+    <= target and no longer halving per step, where target = max(tol,
+    8 eps_mach ||H||_inf), and rho recomputed from H (:func:`_rho`) meets
+    the target too; after maxiter steps each requested pair must still meet
+    it, or SolverFail is raised with the history.  The solution records the
+    target.  The window edge is the top guard's Ritz value
     minus its rho: an unconverged guard only lowers it.  A non-rectangular
     section above _SPECTRAL_CUTOFF nodes raises SolverFail when the
     preconditioner reads the section basis, before any iteration.
@@ -795,8 +803,7 @@ def solve_direct(
         )
     nb = min(K + max(_MIN_GUARDS, K), n // 4)
     prec = _separable_preconditioner(op)
-    w, V, stage = _lobpcg(H, Bd, _start_block(op, nb), prec, K, target, maxiter)
-    res = _rho(H, Bd, V, w)
+    w, V, stage, res = _lobpcg(H, Bd, _start_block(op, nb), prec, K, target, maxiter)
     stage["max_resid"] = float(res.max())
     history = [stage]
 

@@ -1,5 +1,9 @@
 """Reference curve, rotating frame, and curvature functions.
 
+Each curve source has one sampler that returns r, tau and tau' at given
+arc lengths: `_analytic` in closed form for the built-in kinds, the
+sampler of `_sampled` from splines through a point list. build_frame
+calls it once, on the 2x refined grid whose even nodes are the s-grid.
 The frame is built by rotation-minimizing transport (RK4 on
 eta' = -(eta . tau') tau with re-orthonormalization per step), then
 twisted by the angle alpha(s) in the (eta, beta) plane. The Frenet
@@ -13,7 +17,8 @@ interior, one-sided 5-point at the ends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,112 +139,83 @@ def _dots(u, v):
     return np.einsum("ij,ij->i", u, v)
 
 
-class _AnalyticCurve:
-    """r, tau, tau' in closed form for the built-in curve kinds."""
-
-    def __init__(self, spec: CurveSpec):
-        self.spec = spec
-        if spec.kind == "circular_arc":
-            if not spec.radius or spec.radius <= 0:
-                raise InvalidCurve("circular_arc needs radius > 0")
-            if spec.s0 >= 2 * np.pi * spec.radius:
-                raise InvalidCurve("arc length covers a full circle")
-        elif spec.kind == "helix":
-            if spec.a is None or spec.b is None or spec.a <= 0:
-                raise InvalidCurve("helix needs a > 0 and b")
-            if spec.b == 0 and spec.s0 >= 2 * np.pi * spec.a:
-                raise InvalidCurve("flat helix covers a full circle")
-
-    def r(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        k = self.spec.kind
-        if k == "straight":
-            return np.column_stack([s, np.zeros_like(s), np.zeros_like(s)])
-        if k == "circular_arc":
-            R = self.spec.radius
-            return np.column_stack(
-                [R * np.sin(s / R), R * (1 - np.cos(s / R)), np.zeros_like(s)]
-            )
-        a, b = self.spec.a, self.spec.b
-        c = np.hypot(a, b)
-        return np.column_stack([a * np.cos(s / c), a * np.sin(s / c), b * s / c])
-
-    def tau(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        k = self.spec.kind
-        if k == "straight":
-            out = np.zeros((s.size, 3))
-            out[:, 0] = 1.0
-            return out
-        if k == "circular_arc":
-            R = self.spec.radius
-            return np.column_stack(
-                [np.cos(s / R), np.sin(s / R), np.zeros_like(s)]
-            )
-        a, b = self.spec.a, self.spec.b
-        c = np.hypot(a, b)
-        return np.column_stack(
+def _analytic(spec: CurveSpec, s: np.ndarray):
+    """r, tau and tau' of a straight, circular_arc or helix curve at the arc
+    lengths s, in closed form."""
+    z = np.zeros_like(s)
+    if spec.kind == "straight":
+        tau = np.zeros((s.size, 3))
+        tau[:, 0] = 1.0
+        return np.column_stack([s, z, z]), tau, np.zeros((s.size, 3))
+    if spec.kind == "circular_arc":
+        R = spec.radius
+        if not R or R <= 0:
+            raise InvalidCurve("circular_arc needs radius > 0")
+        if spec.s0 >= 2 * np.pi * R:
+            raise InvalidCurve("arc length covers a full circle")
+        return (
+            np.column_stack([R * np.sin(s / R), R * (1 - np.cos(s / R)), z]),
+            np.column_stack([np.cos(s / R), np.sin(s / R), z]),
+            np.column_stack([-np.sin(s / R) / R, np.cos(s / R) / R, z]),
+        )
+    a, b = spec.a, spec.b
+    if a is None or b is None or a <= 0:
+        raise InvalidCurve("helix needs a > 0 and b")
+    if b == 0 and spec.s0 >= 2 * np.pi * a:
+        raise InvalidCurve("flat helix covers a full circle")
+    c = np.hypot(a, b)
+    c2 = a * a + b * b
+    return (
+        np.column_stack([a * np.cos(s / c), a * np.sin(s / c), b * s / c]),
+        np.column_stack(
             [-(a / c) * np.sin(s / c), (a / c) * np.cos(s / c), np.full_like(s, b / c)]
-        )
-
-    def tau_prime(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        k = self.spec.kind
-        if k == "straight":
-            return np.zeros((s.size, 3))
-        if k == "circular_arc":
-            R = self.spec.radius
-            return np.column_stack(
-                [-np.sin(s / R) / R, np.cos(s / R) / R, np.zeros_like(s)]
-            )
-        a, b = self.spec.a, self.spec.b
-        c2 = a * a + b * b
-        return np.column_stack(
-            [-(a / c2) * np.cos(s / np.sqrt(c2)), -(a / c2) * np.sin(s / np.sqrt(c2)),
-             np.zeros_like(s)]
-        )
+        ),
+        np.column_stack(
+            [-(a / c2) * np.cos(s / np.sqrt(c2)), -(a / c2) * np.sin(s / np.sqrt(c2)), z]
+        ),
+    )
 
 
-class _SampledCurve:
-    """Arc-length reparameterization of a point list.
+def _sampled(spec: CurveSpec, M_s: int):
+    """(s0, sampler) of the arc-length reparameterization of a point list.
 
     Coordinates are C^2 cubic splines in cumulative chord length; the
     chord->arc-length map and its inverse use monotone cubic (PCHIP)
-    interpolation so the parameterization never backtracks. tau' comes
-    from 4th-order differences of the resampled tangent.
+    interpolation so the parameterization never backtracks. The sampler
+    returns r, tau and tau' at uniformly spaced arc lengths s, tau' from
+    4th-order differences of the resampled tangent.
     """
+    # imported here because only this curve kind needs them: with what
+    # they pull in (scipy.optimize, scipy.spatial, scipy.special,
+    # scipy.fft) they would add about 0.24 s to every run's import
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import CubicSpline, PchipInterpolator
 
-    def __init__(self, spec: CurveSpec, n_fine: int):
-        # imported here because only this curve kind needs them: with what
-        # they pull in (scipy.optimize, scipy.spatial, scipy.special,
-        # scipy.fft) they would add about 0.24 s to every run's import
-        from scipy.integrate import cumulative_trapezoid
-        from scipy.interpolate import CubicSpline, PchipInterpolator
+    pts = np.asarray(spec.points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
+        raise InvalidCurve("sampled curve needs at least 4 points in R^3")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if np.any(seg <= 0):
+        raise InvalidCurve("duplicate consecutive points")
+    t = np.concatenate([[0.0], np.cumsum(seg)])
+    p = CubicSpline(t, pts, axis=0)
+    tq = np.linspace(0.0, t[-1], max(4096, 8 * M_s))
+    speed = np.linalg.norm(p(tq, 1), axis=1)
+    if np.any(speed <= 0):
+        raise InvalidCurve("vanishing speed after reparameterization")
+    s_of_t = cumulative_trapezoid(speed, tq, initial=0.0)
+    s0 = float(s_of_t[-1])
+    if s0 <= 0:
+        raise InvalidCurve("curve too short")
+    t_of_s = PchipInterpolator(s_of_t, tq)
 
-        pts = np.asarray(spec.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-            raise InvalidCurve("sampled curve needs at least 4 points in R^3")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if np.any(seg <= 0):
-            raise InvalidCurve("duplicate consecutive points")
-        t = np.concatenate([[0.0], np.cumsum(seg)])
-        self._p = CubicSpline(t, pts, axis=0)
-        tq = np.linspace(0.0, t[-1], max(4096, 4 * n_fine))
-        speed = np.linalg.norm(self._p(tq, 1), axis=1)
-        if np.any(speed <= 0):
-            raise InvalidCurve("vanishing speed after reparameterization")
-        s_of_t = cumulative_trapezoid(speed, tq, initial=0.0)
-        self.s0 = float(s_of_t[-1])
-        if self.s0 <= 0:
-            raise InvalidCurve("curve too short")
-        self._t_of_s = PchipInterpolator(s_of_t, tq)
+    def sample(s):
+        ts = t_of_s(s)
+        v = p(ts, 1)
+        tau = v / np.linalg.norm(v, axis=1)[:, None]
+        return p(ts), tau, diff4(tau, s[1] - s[0])
 
-    def r(self, s):
-        return self._p(self._t_of_s(np.atleast_1d(s)))
-
-    def tau_raw(self, s):
-        v = self._p(self._t_of_s(np.atleast_1d(s)), 1)
-        return v / np.linalg.norm(v, axis=1)[:, None]
+    return s0, sample
 
 
 def _pick_eta0(tau0: np.ndarray) -> np.ndarray:
@@ -296,33 +272,22 @@ def build_frame(spec: CurveSpec, M_s: int) -> FrameField:
         raise InvalidCurve("M_s must be at least 16")
 
     if spec.kind == "sampled":
-        curve = _SampledCurve(spec, 2 * M_s)
-        s0 = curve.s0
+        s0, sample = _sampled(spec, M_s)
     else:
         if spec.kind not in ("straight", "circular_arc", "helix"):
             raise InvalidCurve(f"unknown curve kind {spec.kind!r}")
         if spec.s0 <= 0:
             raise InvalidCurve("s0 must be positive")
-        curve = _AnalyticCurve(spec)
-        s0 = spec.s0
+        s0, sample = spec.s0, functools.partial(_analytic, spec)
 
+    # the even nodes of the fine grid are the s-grid, bit for bit
     s = np.linspace(0.0, s0, M_s)
     h = s[1] - s[0]
-    s_fine = np.linspace(0.0, s0, 2 * M_s - 1)
+    r_f, tau_f, taup_f = sample(np.linspace(0.0, s0, 2 * M_s - 1))
+    r, tau = r_f[::2], tau_f[::2]
+    if spec.kind == "sampled" and _min_nonadjacent_distance(r) <= 1e-12 * max(1.0, s0):
+        raise InvalidCurve("resampled curve is self-intersecting")
 
-    if spec.kind == "sampled":
-        r = curve.r(s)
-        tau_f = curve.tau_raw(s_fine)
-        taup_f = diff4(tau_f, s_fine[1] - s_fine[0])
-        dmin = _min_nonadjacent_distance(r)
-        if dmin <= 1e-12 * max(1.0, s0):
-            raise InvalidCurve("resampled curve is self-intersecting")
-    else:
-        r = curve.r(s)
-        tau_f = curve.tau(s_fine)
-        taup_f = curve.tau_prime(s_fine)
-
-    tau = tau_f[::2]
     eta_rm = _transport(tau_f, taup_f, h)
     beta_rm = np.cross(tau, eta_rm)
 

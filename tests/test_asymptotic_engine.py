@@ -309,8 +309,13 @@ def test_expansion_orthogonality_invariants():
     st = run_recurrence(fr, spec, n=1, m=1, N=4)
     h2 = spec.h**2
     hs = fr.h
+    qphi = st.ctx.q * st.ctx.phi[None, :]
     for i in range(st.N + 1):
-        assert np.max(np.abs(h2 * (st.psi_tilde[i] @ st.ctx.phi))) < 1e-10
+        # psi~_i from psi_i = psi~_i + (1/2) Psi_{i-1} q phi + Psi_i phi
+        psi_tilde = st.psi[i] - st.Psi[i][:, None] * st.ctx.phi[None, :]
+        if i > 0:
+            psi_tilde -= 0.5 * st.Psi[i - 1][:, None] * qphi
+        assert np.max(np.abs(h2 * (psi_tilde @ st.ctx.phi))) < 1e-10
     for i in range(1, st.N):
         assert abs(hs * np.dot(st.Psi[i], st.Psi[0])) < 1e-10
 

@@ -563,6 +563,26 @@ def _mask_config(tmp_path, data=None):
         (lambda t: write_config(t, {"curve": {"kind": "straight", "s0": 10**400}}),
          "curve.s0"),
         (lambda t: write_config(t, {"M_s": 10}), "M_s"),
+        # json reads NaN and Infinity as numbers; each is refused on its
+        # field, as is an integer beyond the int32 indices of H
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": float("nan")}}),
+         "curve.s0"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": 3.0, "twist": "linear",
+                          "twist_rate": float("nan")}}),
+         "curve.twist_rate"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8,
+                            "center": [float("nan"), 0]}}),
+         "section.center[0]"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8, "side": float("inf")}}),
+         "section.side"),
+        (lambda t: write_config(t, {"M_s": 10**30}), "M_s"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 10**30}}),
+         "section.n"),
         (lambda t: _mask_config(t), "section.path"),
         (lambda t: write_config(
             t, {"section": {"kind": "mask", "path": str(t)}}), "section.path"),
@@ -574,7 +594,8 @@ def _mask_config(tmp_path, data=None):
          "sampled-duplicate-point", "twist-spiral", "s0-zero", "s0-negative",
          "modes-duplicate", "center-string", "center-bool", "points-string",
          "twist-values-string", "s0-huge-integer", "M_s-below-16",
-         "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header"],
+         "s0-nan", "twist-rate-nan", "center-nan", "side-infinity",
+         "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,

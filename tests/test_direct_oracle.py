@@ -467,15 +467,34 @@ def test_lobpcg_stops_at_the_rounding_floor_of_rho():
     op = _helix_op(eps=0.05, n=10, M_s=20)
     X = direct_oracle._start_block(op, 6)
     prec = direct_oracle._separable_preconditioner(op)
-    *_, probe = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, 0.0, 40)
+    _, _, probe, _ = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, 0.0, 40)
     assert probe["iterations"] == 40
     target = 3 * min(probe["residual_history"])
-    lam, V, stage = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, target, 40)
+    lam, V, stage, res = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, target, 40)
     assert stage["iterations"] <= 15
     history = stage["residual_history"]
     assert target / 4 < history[-1] <= target
     assert history[-1] > 0.5 * history[-2]
     assert np.all(direct_oracle._rho(op.H, op.B, V[:, :3], lam[:3]) <= target)
+    assert np.all(res[:3] <= target)
+
+
+def test_lobpcg_floor_stop_is_certified_by_the_recomputed_rho():
+    # with the target at 2x the lowest rho of a 40-step run, the iteration's
+    # own rho met the target after 11 steps (0.993x) while rho recomputed
+    # from H read 1.025x, and solve_direct then raised "stalled".  A floor
+    # stop now needs the recomputed rho to meet the target (measured: one
+    # more step, 0.894x), and that rho is what _lobpcg returns
+    fr, grid = _helix(n=12, M_s=40)
+    op = assemble(fr, grid, 0.05)
+    X = direct_oracle._start_block(op, 6)
+    prec = direct_oracle._separable_preconditioner(op)
+    _, _, probe, _ = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, 0.0, 40)
+    target = 2 * min(probe["residual_history"])
+    lam, V, stage, res = direct_oracle._lobpcg(op.H, op.B, X, prec, 3, target, 40)
+    assert stage["iterations"] < 40
+    assert np.all(res[:3] <= target)
+    assert np.array_equal(res, direct_oracle._rho(op.H, op.B, V, lam))
 
 
 def test_solver_keeps_three_guard_columns_at_the_block_limit(monkeypatch):
