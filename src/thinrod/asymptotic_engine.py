@@ -5,7 +5,9 @@ eps in (H_eps - lambda B_eps) psi = 0 on the straightened rod yields a
 recurrence: each order solves a deflated section problem per s-node, a
 deflated reduced 1D problem in s, and fixes one eigenvalue coefficient
 lambda_i through the solvability (orthogonality) conditions.  Both
-deflated problems are one bordered solve, cross_section.deflated_solve.
+deflated problems go through cross_section.deflated_solve: closed-form
+sine transforms for the section problem on a full rectangular mask, a
+bordered sparse LU for any other section and for the reduced problem.
 
 Everything here is built from the same discrete stencils the direct
 solver uses, so the solvability conditions hold to rounding, not just
@@ -43,8 +45,10 @@ vectors W built once per context (three curvature blocks of the F_1 part,
 phi, R phi and R R phi) weighted by six per-row coefficients C (k1^2 Psi,
 k1 k2 Psi, k2^2 Psi; D_ss Psi, k3 D_s Psi + D_s(k3 Psi), k3^2 Psi), so no
 sparse product is left in it; a zero curvature gives an exactly zero
-column.  One order thus costs one block section solve and five sparse
-section products.
+column.  One order thus costs one block section solve (on a full
+rectangular mask four batched products of the s-rows with the two sine
+matrices, plus one sparse product for its residual check) and five
+sparse section products.
 """
 
 from __future__ import annotations

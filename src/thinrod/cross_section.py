@@ -23,8 +23,16 @@ coefficient of a disk, exactly zero in the limit, measures at about
 (rectangles, mask unions of cells) do not suffer from this and converge
 at O(h^2).
 
-deflated_solve is the one bordered deflated solve, shared by the section
-resolvent here and the reduced resolvent of curve_operator.
+On a full rectangular mask S is a Kronecker sum of 1D Dirichlet second
+differences, with a closed-form sine eigenbasis (_rectangle_sines); this
+module owns it for the direct solver's preconditioner, start block and
+rungs (rectangle_basis) and for the expansion's section solves.
+
+deflated_solve is the one deflated solve, shared by the section resolvent
+here and the reduced resolvent of curve_operator: a solvability check and
+a residual check around an inner solver kept per mode, which is the
+closed-form sine resolvent for section solves on a full rectangular mask
+and a bordered sparse LU everywhere else.
 """
 
 from __future__ import annotations
@@ -352,20 +360,130 @@ def rotational_coefficient(spectrum: SectionSpectrum, n: int):
     return float(spectrum.C[n - 1]), spectrum.ops.R @ p
 
 
+def _dirichlet_eigenvalues(h: float, length: float, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (4/h^2) sin^2(m pi h / (2 length)),
+    m = 1, 2, ..., of the Dirichlet second-difference matrix -d^2 with
+    spacing h on an interval of that length (length / h - 1 interior
+    nodes).  Along the rod's axis (h, s0) they are theta_m."""
+    m = np.arange(1, count + 1)
+    return (4 / h**2) * np.sin(m * np.pi * h / (2 * length)) ** 2
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-I discrete sine transform matrix of order n.
+
+    Column m samples the m-th eigenvector of the n-node Dirichlet second
+    difference (eigenvalue order of :func:`_dirichlet_eigenvalues`); the
+    matrix is symmetric and its own inverse.
+    """
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
+def _rectangle_sines(grid: SectionGrid):
+    """(lam_sec, sine2, sine3) of S on a full rectangular mask.
+
+    There S is a Kronecker sum of 1D Dirichlet second differences, so its
+    eigenbasis is the sine matrix along xi2 (mask axis 0) times the one
+    along xi3 (axis 1), and the eigenvalue of basis vector (i, j), flat
+    index i * n3 + j, is lam_sec[i * n3 + j], a closed-form sum (unsorted):
+    fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    """
+    n2, n3 = grid.mask.shape
+    lam_sec = (
+        _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
+        + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
+    ).ravel()
+    return lam_sec, _sine_matrix(n2), _sine_matrix(n3)
+
+
+def rectangle_basis(grid: SectionGrid):
+    """(lam_sec, to_modes, from_modes) of S on a full rectangular mask
+    (`grid.mask.all()`): its closed-form eigenvalues (unsorted, see
+    :func:`_rectangle_sines`) and the products of a column stack
+    (n_interior, cols) with the transposed eigenbasis and with the
+    eigenbasis, which are one map, sine2 (x) sine3, symmetric and its own
+    inverse."""
+    lam_sec, sine2, sine3 = _rectangle_sines(grid)
+    n2, n3 = grid.mask.shape
+
+    def to_modes(U):
+        cols = U.shape[1]
+        U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
+        return (sine3 @ U).reshape(n2 * n3, cols)
+
+    return lam_sec, to_modes, to_modes
+
+
+def _bordered_lu(A, lam: float, phi: np.ndarray):
+    """rows -> u by one sparse LU of [[A - lam, phi], [phi^T, 0]]: the
+    border removes the rhs's part along phi and keeps u orthogonal to it."""
+    K = sp.bmat(
+        [[A - lam * sp.eye(phi.size), phi[:, None]], [phi[None, :], None]],
+        format="csc",
+    )
+    # minimum degree on K^T + K: the fill of the bordered section
+    # Laplacian is 0.57-0.78 of COLAMD's (30^2 and 96^2 squares, 24-node
+    # disk), and the solves against every s-row shrink with it
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A")
+
+    def solve(rows):
+        B = np.concatenate([rows, np.zeros((rows.shape[0], 1))], axis=1)
+        return lu.solve(B.T).T[:, :-1]
+
+    return solve
+
+
+def _sine_resolvent(grid: SectionGrid, lam: float, phi: np.ndarray, w: float):
+    """rows -> u by the closed-form deflated inverse of S - lam on a full
+    rectangular mask.
+
+    Each row, viewed as an (n2, n3) array X, goes to the sine basis as
+    sine2 X sine3 (batched matmul over the rows), is scaled by
+    1/(mu_k - lam) with the basis vector whose mu_k lies nearest lam
+    dropped, and comes back the same way; u is then projected off phi in
+    <., .>_w, so <u, phi>_w = 0 holds to rounding.  At a multiple
+    eigenvalue a tied mu_k stays in and blows up (or, exactly equal, is
+    infinite): the residual guard of deflated_solve refuses the result.
+    """
+    lam_sec, sine2, sine3 = _rectangle_sines(grid)
+    shape = grid.mask.shape
+    denom = lam_sec - lam
+    denom[np.argmin(np.abs(denom))] = np.inf  # 1/inf = 0 drops mode n
+    with np.errstate(divide="ignore"):
+        inv = (1.0 / denom).reshape(shape)
+
+    def solve(rows):
+        with np.errstate(invalid="ignore"):
+            U = sine2 @ rows.reshape(-1, *shape) @ sine3
+            U *= inv
+            out = (sine2 @ U @ sine3).reshape(rows.shape)
+            out -= (w * (out @ phi))[:, None] * phi[None, :]
+        return out
+
+    return solve
+
+
 def deflated_solve(
     A, lam: float, phi: np.ndarray, w: float, rows: np.ndarray,
-    noise_floor: float, factors: dict, key,
+    noise_floor: float, factors: dict, key, inner=None,
 ) -> tuple[np.ndarray, float]:
     """Rows u of (A - lam) u = P rhs with <u, phi>_w = 0, one per rhs row,
     and the solvability defect of the rhs.
 
     (lam, phi) is a simple eigenpair of the symmetric sparse A, phi unit in
-    <u, v>_w = w sum(u v), P the w-projector off phi.  The bordered LU of
-    [[A - lam, phi], [phi^T, 0]] is kept in factors[key].  noise_floor:
-    magnitude of the rhs before cancellation; rows whose norm fell below it
-    are rounding residue and are not solvability-checked against themselves.
-    The defect is the largest |<rhs, phi>_w| / max(|rhs|_w, floor) of the
-    rows, the ratio refused above _ORTHO_TOL.
+    <u, v>_w = w sum(u v), P the w-projector off phi.  The inner solver,
+    rows -> u, is built once per key and kept in factors[key]: inner() if
+    given (deflated_resolvent's closed form on a full rectangular mask),
+    else the bordered LU of [[A - lam, phi], [phi^T, 0]].  Around it run
+    the two checks every solver shares.  Before: the rhs must be
+    orthogonal to phi (noise_floor: magnitude of the rhs before
+    cancellation; rows whose norm fell below it are rounding residue and
+    are not solvability-checked against themselves), else
+    SolvabilityViolation.  After: each row's residual against P rhs must
+    be within 1e-10 of the rhs, else SolverFail.  The defect is the
+    largest |<rhs, phi>_w| / max(|rhs|_w, floor) of the rows, the ratio
+    refused above _ORTHO_TOL.
     """
     nrm = np.sqrt(w * np.sum(rows**2, axis=1))
     dot = w * (rows @ phi)
@@ -378,22 +496,15 @@ def deflated_solve(
             f"mode {key} rhs row {k}: defect {abs(dot[k]):.3e} vs {nrm[k]:.3e}"
         )
 
-    lu = factors.get(key)
-    if lu is None:
-        K = sp.bmat(
-            [[A - lam * sp.eye(phi.size), phi[:, None]], [phi[None, :], None]],
-            format="csc",
-        )
-        # minimum degree on K^T + K: the fill of the bordered section
-        # Laplacian is 0.57-0.78 of COLAMD's (30^2 and 96^2 squares, 24-node
-        # disk), and the solves against every s-row shrink with it
-        lu = factors[key] = splu(K, permc_spec="MMD_AT_PLUS_A")
-
-    B = np.concatenate([rows, np.zeros((rows.shape[0], 1))], axis=1)
-    out = lu.solve(B.T).T[:, :-1]
+    solve = factors.get(key)
+    if solve is None:
+        solve = factors[key] = inner() if inner else _bordered_lu(A, lam, phi)
+    out = solve(rows)
     proj = rows - dot[:, None] * phi[None, :]
-    res = np.sqrt(w * np.sum(((A @ out.T).T - lam * out - proj) ** 2, axis=1))
-    bad = res > _RESIDUAL_TOL * np.maximum(np.maximum(nrm, noise_floor), 1e-300)
+    with np.errstate(invalid="ignore"):
+        res = np.sqrt(w * np.sum(((A @ out.T).T - lam * out - proj) ** 2, axis=1))
+    # not (res <= tol): a NaN residual fails too
+    bad = ~(res <= _RESIDUAL_TOL * np.maximum(np.maximum(nrm, noise_floor), 1e-300))
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise SolverFail(f"mode {key} deflated solve residual {res[k]:.3e} (row {k})")
@@ -404,12 +515,15 @@ def deflated_resolvent(
     spectrum: SectionSpectrum, n: int, rhs: np.ndarray, noise_floor: float = 0.0
 ) -> tuple[np.ndarray, float]:
     """(u, defect): u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0, for
-    one rhs or a stack of rows, and the rhs's solvability defect; the
-    bordered LU is kept per n (see deflated_solve)."""
+    one rhs or a stack of rows, and the rhs's solvability defect.  The
+    solver is kept per n (see deflated_solve): the closed-form sine
+    resolvent on a full rectangular mask, the bordered LU on any other."""
     lam, phi = spectrum.mode(n)
     rhs = np.asarray(rhs, dtype=float)
+    grid, w = spectrum.grid, spectrum.h**2
+    inner = (lambda: _sine_resolvent(grid, lam, phi, w)) if grid.mask.all() else None
     out, defect = deflated_solve(
-        spectrum.ops.S, lam, phi, spectrum.h**2, np.atleast_2d(rhs),
-        noise_floor, spectrum._factors, n,
+        spectrum.ops.S, lam, phi, w, np.atleast_2d(rhs),
+        noise_floor, spectrum._factors, n, inner,
     )
     return (out[0] if rhs.ndim == 1 else out), defect

@@ -46,9 +46,11 @@ Solves are deterministic: one block LOBPCG run, implemented here, starts
 from the start block and is preconditioned by the exact shifted inverse of
 the separable part (applied as matrix products).  On a full rectangular
 mask the section eigenbasis is a product of two sine transforms with
-closed-form eigenvalues; any other mask takes a dense eigenbasis from
-eigh, and a section of more than 4096 interior nodes is refused
-(:func:`_check_section_size`, which the CLI also runs first).
+closed-form eigenvalues, taken from
+:func:`thinrod.cross_section.rectangle_basis`, the one owner of that basis
+(the expansion's section solves use it too); any other mask takes a dense
+eigenbasis from eigh, and a section of more than 4096 interior nodes is
+refused (:func:`_check_section_size`, which the CLI also runs first).
 
 One residual serves the stop test, the acceptance, the window edge and the
 certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
@@ -75,7 +77,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from . import asymptotic_engine as engine
-from .cross_section import SectionGrid, build_operators, laplacian, solve_section
+from .cross_section import (
+    SectionGrid,
+    _dirichlet_eigenvalues,
+    _sine_matrix,
+    build_operators,
+    laplacian,
+    rectangle_basis,
+    solve_section,
+)
 from .errors import SolverFail, UnderresolvedWindow
 from .geometry import FrameField
 
@@ -277,24 +287,12 @@ class PencilFamily:
         """(lam_sec, to_modes, from_modes) of the section Laplacian S:
         its eigenvalues (unsorted on a rectangle) and the products with
         the transposed eigenbasis and with the eigenbasis.  Closed-form
-        sines on a full rectangular mask (see
-        :func:`_separable_preconditioner`), a dense eigh on any other,
-        which :func:`_check_section_size` limits."""
-        grid, nw = self.grid, self.grid.n_interior
+        sines on a full rectangular mask
+        (:func:`thinrod.cross_section.rectangle_basis`), a dense eigh on
+        any other, which :func:`_check_section_size` limits."""
+        grid = self.grid
         if grid.mask.all():
-            n2, n3 = grid.mask.shape
-            lam_sec = (
-                _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
-                + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
-            ).ravel()
-            sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
-
-            def to_modes(U):  # sine2 (x) sine3, symmetric and its own inverse
-                cols = U.shape[1]
-                U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
-                return (sine3 @ U).reshape(nw, cols)
-
-            return lam_sec, to_modes, to_modes
+            return rectangle_basis(grid)
         _check_section_size(grid)
         lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
         return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
@@ -534,26 +532,6 @@ def _rho(H, Bd, U, lam):
     return np.linalg.norm(R / s, axis=axis) / np.linalg.norm(s * U, axis=axis)
 
 
-def _dirichlet_eigenvalues(h: float, length: float, count: int) -> np.ndarray:
-    """The lowest `count` eigenvalues (4/h^2) sin^2(m pi h / (2 length)),
-    m = 1, 2, ..., of the Dirichlet second-difference matrix -d^2 with
-    spacing h on an interval of that length (length / h - 1 interior
-    nodes).  Along the axis (h, s0) they are theta_m."""
-    m = np.arange(1, count + 1)
-    return (4 / h**2) * np.sin(m * np.pi * h / (2 * length)) ** 2
-
-
-def _sine_matrix(n: int) -> np.ndarray:
-    """Orthonormal type-I discrete sine transform matrix of order n.
-
-    Column m samples the m-th eigenvector of the n-node Dirichlet second
-    difference (eigenvalue order of :func:`_dirichlet_eigenvalues`); the
-    matrix is symmetric and its own inverse.
-    """
-    j = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
-
-
 def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
     """Separable starting vectors: the basis vectors of the nb lowest rungs.
 
@@ -611,13 +589,12 @@ def _separable_preconditioner(op: TransformedOperator):
     lambda_1 leaves the wanted pairs O(eps^-2) above it, and the
     preconditioned gaps shrink like eps^2).  Every denominator is at least
     theta_1 > 0, so the operator stays SPD.  On a full rectangular mask
-    (`grid.mask.all()`) S is a Kronecker sum of 1D Dirichlet second
-    differences, so its eigenbasis is the sine matrix along xi2 (mask axis
-    0) times the one along xi3 (axis 1) and its eigenvalues are closed-form
-    sums (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
-    1964); any other mask gets a dense eigenbasis from LAPACK's
-    divide-and-conquer eigh (driver "evd"), several times faster than the
-    default MRRR driver on the section Laplacian's clustered spectrum.
+    (`grid.mask.all()`) the section eigenbasis is closed-form, two sine
+    matrices (fast diagonalization, see
+    :func:`thinrod.cross_section.rectangle_basis`); any other mask gets a
+    dense eigenbasis from LAPACK's divide-and-conquer eigh (driver "evd"),
+    several times faster than the default MRRR driver on the section
+    Laplacian's clustered spectrum.
     """
     ms, nw = op.M_s - 2, op.n_omega
     family = op.family

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from thinrod.asymptotic_engine import (
     q_field,
     run_recurrence,
 )
-from thinrod.cross_section import disk_grid, solve_section, square_grid
+from thinrod.cross_section import disk_grid, mask_grid, solve_section, square_grid
 from thinrod.errors import EpsilonOutOfRange
 from thinrod.geometry import CurveSpec, build_frame
 
@@ -331,6 +333,24 @@ def test_order_equation_residuals():
         assert order_equation_residual(st, i) < 1e-9 * scale
     with pytest.raises(ValueError):
         order_equation_residual(st, st.N - 1)
+
+
+def test_second_branch_on_a_rectangle():
+    # (n, m) = (2, 1) on the full 11 x 17 rectangle (h = 1/18), whose
+    # lambda_2 is simple; the section solves take the closed-form sine
+    # resolvent, which must pick mode 2 out of its unsorted eigenvalues
+    fr = build_frame(
+        CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6), 64
+    )
+    spec = solve_section(
+        mask_grid(Path(__file__).parent / "data" / "rectangle_11x17.mask"), 3
+    )
+    st = run_recurrence(fr, spec, n=2, m=1, N=4)
+    assert st.lam[0] == spec.lam[1]
+    scale = max(1.0, abs(st.lam[0]))
+    for i in range(st.N - 1):
+        assert order_equation_residual(st, i) < 1e-11 * scale
+    assert st.max_defect < 1e-8
 
 
 def test_lambda1_closed_matches_recurrence_on_arc():

@@ -1,14 +1,18 @@
 """Section eigenproblem, rotational coefficient, deflated resolvent."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
+from thinrod import cross_section
 from thinrod.cross_section import (
     _component_count,
     _finish_grid,
+    _sine_resolvent,
     assert_simple,
     deflated_resolvent,
     deflated_solve,
@@ -29,6 +33,10 @@ C1_SQUARE = np.pi**2 / 6 - 1.5  # |R phi_1|^2 for the centered unit square,
 # from the separable integrals of phi_1 = 2 cos(pi xi2) cos(pi xi3):
 # int xi^2 cos^2 = 1/24 - 1/(4 pi^2), int xi^2 sin^2 = 1/24 + 1/(4 pi^2),
 # int xi sin cos = 1/(4 pi) on (-1/2, 1/2), assembled with the cross term.
+
+# full 11 x 17 rectangular mask, h = 1/18: its lowest section modes are
+# simple, so the second branch n = 2 is reachable on it
+RECTANGLE = Path(__file__).parent / "data" / "rectangle_11x17.mask"
 
 
 def test_square_eigenvalue_closed_form():
@@ -153,9 +161,13 @@ def test_deflated_resolvent_batch():
 
 
 def test_solvability_violation():
-    s = solve_section(square_grid(1.0, 24), 1)
-    with pytest.raises(SolvabilityViolation):
-        deflated_resolvent(s, 1, s.phi[0])
+    # the square and the rectangle take the closed-form sine resolvent, the
+    # disk the bordered LU; the pre-check runs before either
+    for grid in (square_grid(1.0, 24), mask_grid(RECTANGLE), disk_grid(1.0, 24)):
+        s = solve_section(grid, 1)
+        with pytest.raises(SolvabilityViolation):
+            deflated_resolvent(s, 1, s.phi[0])
+        assert not s._factors  # refused before any solver is built
 
 
 def test_deflated_solve_residual_guard():
@@ -172,6 +184,80 @@ def test_deflated_solve_residual_guard():
         deflated_solve(s.ops.S, lam, off, w, rhs[None, :], 0.0, {}, 1)
     u, _ = deflated_solve(s.ops.S, lam, phi, w, s.phi[1:2], 0.0, {}, 1)
     assert np.abs(u[0] - s.phi[1] / (s.lam[1] - lam)).max() < 1e-12
+
+    # the rectangle twin: the closed form drops the sine mode of lambda_1
+    # and projects off the tilted phi, so it misses the rhs's part along
+    # that sine mode, and the same guard fires
+    s = solve_section(mask_grid(RECTANGLE), 2)
+    lam, phi = s.mode(1)
+    w = s.h**2
+    off = phi + 1e-3 * s.phi[1]
+    off /= np.sqrt(w * np.sum(off**2))
+    rhs = s.phi[1] - w * np.sum(s.phi[1] * off) * off
+
+    def sine(p):
+        return lambda: _sine_resolvent(s.grid, lam, p, w)
+
+    with pytest.raises(SolverFail, match="residual"):
+        deflated_solve(s.ops.S, lam, off, w, rhs[None, :], 0.0, {}, 1, sine(off))
+    u, _ = deflated_solve(s.ops.S, lam, phi, w, s.phi[1:2], 0.0, {}, 1, sine(phi))
+    assert np.abs(u[0] - s.phi[1] / (s.lam[1] - lam)).max() < 1e-12
+
+
+def test_double_eigenvalue_fails_the_residual_guard():
+    # on the square lambda_2 = lambda_3: deflating phi_2 leaves its tied
+    # partner in the kernel, and neither solver may return a solution.  At
+    # n = 11 the partner's closed-form eigenvalue equals lambda_2 exactly,
+    # so its scaling is infinite and the residual NaN, which fails too
+    for n, residual in ((30, "residual [0-9]"), (11, "residual nan")):
+        s = solve_section(square_grid(1.0, n), 4)
+        lam, phi = s.mode(2)
+        w = s.h**2
+        rows = np.random.default_rng(5).standard_normal((4, phi.size))
+        rows -= (w * (rows @ phi))[:, None] * phi[None, :]
+        with pytest.raises(SolverFail, match=residual):
+            deflated_resolvent(s, 2, rows)  # closed form
+        with pytest.raises(SolverFail, match="residual"):
+            deflated_solve(s.ops.S, lam, phi, w, rows, 0.0, {}, 2)  # bordered LU
+
+
+def _count_bordered_lu(monkeypatch):
+    built = []
+    real = cross_section._bordered_lu
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cross_section, "_bordered_lu", counting)
+    return built
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sine_resolvent_matches_bordered_lu(n, monkeypatch):
+    # mode n picked out of the unsorted closed-form eigenvalues gives the
+    # bordered LU's solution on a 62-row batch
+    s = solve_section(mask_grid(RECTANGLE), 4)
+    lam, phi = s.mode(n)
+    w = s.h**2
+    rows = np.random.default_rng(n).standard_normal((62, phi.size))
+    rows -= (w * (rows @ phi))[:, None] * phi[None, :]
+    built = _count_bordered_lu(monkeypatch)
+    u, _ = deflated_resolvent(s, n, rows)
+    assert not built
+    ref, _ = deflated_solve(s.ops.S, lam, phi, w, rows, 0.0, {}, n)
+    assert len(built) == 1
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(w * (u @ phi)).max() <= 1e-12
+
+
+def test_disk_resolvent_caches_a_bordered_lu(monkeypatch):
+    s = solve_section(disk_grid(1.0, 24), 3)
+    built = _count_bordered_lu(monkeypatch)
+    for _ in range(2):
+        u, _ = deflated_resolvent(s, 1, s.phi[1])
+        assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
+    assert len(built) == 1 and list(s._factors) == [1]
 
 
 def test_mask_file_roundtrip(tmp_path):
