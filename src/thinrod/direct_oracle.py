@@ -528,8 +528,16 @@ def _rho(H, Bd, U, lam):
     s, axis = np.sqrt(Bd), None  # a vector's norm is one dot product
     if U.ndim == 2:
         s, Bd, axis = s[:, None], Bd[:, None], 0
-    R = H @ U - (Bd * U) * lam
-    return np.linalg.norm(R / s, axis=axis) / np.linalg.norm(s * U, axis=axis)
+    den = np.linalg.norm(s * U, axis=axis)
+    # in place, at most two arrays of U's size at a time, with the bits of
+    # (H @ U - (Bd * U) * lam) / s
+    R = H @ U
+    T = Bd * U
+    T *= lam
+    R -= T
+    del T
+    R /= s
+    return np.linalg.norm(R, axis=axis) / den
 
 
 def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
@@ -645,9 +653,20 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     steps.  The other columns are guards, carried but not required to
     converge.  Returns (lambda, B-orthonormal u, history entry, recomputed
     rho of every column).
+
+    Its working set, in blocks of n x nb doubles beyond H and the start
+    block, is X, AX and the [W, P] buffer (two), with every other block
+    freed once spent: R once M has read it, S and AS at the end of their
+    step, V when the recomputed rho refuses a stop.  Once orthonormalized,
+    [W, P] is scratch: it takes S / B^1/2 for the H-apply, then AS Zs and
+    AX Zx.  So the H-apply holds X, AX, [W, P], S and AS (S of up to 2 nb
+    columns), and the stop X, AX, [W, P], R, V and the two temporaries of
+    :func:`_rho`: eight blocks each.
     """
     nb = X.shape[1]
     s = np.sqrt(Bd)[:, None]
+    WP = np.empty((X.shape[0], 2 * nb))  # [W, P], P empty on the first step
+    spent = WP.reshape(-1)  # the same memory, for scratch once [W, P] is read
     stage = {
         "stage": "lobpcg",
         "preconditioner": "separable",
@@ -659,7 +678,8 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
 
     def apply_h(Y):
         stage["h_applies"] += 1
-        AY = H @ (Y / s)
+        # Y / s goes contiguously into [W, P], which no caller still needs
+        AY = H @ np.divide(Y, s, out=spent[: Y.size].reshape(Y.shape))
         AY /= s
         return AY
 
@@ -669,7 +689,6 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     AX = apply_h(X)
     lam, C = np.linalg.eigh(X.T @ AX)
     X, AX = X @ C, AX @ C
-    WP = np.empty((X.shape[0], 2 * nb))  # [W, P], P empty on the first step
     n_p = 0
     while True:
         R = X * -lam
@@ -687,10 +706,12 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
             res = _rho(H, Bd, V, lam)
             if res[:K].max() <= target or stage["iterations"] == maxiter:
                 return lam, V, stage, res
+            del V
         R *= s  # H u - lambda B u
         stage["iterations"] += 1
         stage["prec_applies"] += 1
         np.multiply(prec @ R, s, out=WP[:, :nb])
+        del R
         S = WP[:, : nb + n_p]
         for _ in range(2):
             S -= X @ (X.T @ S)
@@ -699,12 +720,17 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         XAS = X.T @ AS
         theta, Z = np.linalg.eigh(np.block([[np.diag(lam), XAS], [XAS.T, S.T @ AS]]))
         lam, Zx, Zs = theta[:nb], Z[:nb, :nb], Z[nb:, :nb]
+        # AS Zs and AX Zx go into the spent [W, P], so AX is updated in
+        # place: no block is made while S and AS are live
+        ASZ = np.matmul(AS, Zs, out=spent[: X.size].reshape(X.shape))
+        AXZ = np.matmul(AX, Zx, out=spent[X.size : 2 * X.size].reshape(X.shape))
+        np.add(AXZ, ASZ, out=AX)
+        del AS
         np.matmul(S, Zs, out=WP[:, nb:])
+        del S
         n_p = nb
         X = X @ Zx
         X += WP[:, nb:]
-        AX = AX @ Zx
-        AX += AS @ Zs
 
 
 _NORM_SLICE = 2**20  # entries of H.data per slice of _inf_norm
@@ -764,6 +790,11 @@ def solve_direct(
     `residual_history` (per iteration, starting with the start block, the
     largest rho over the K requested pairs) and `max_resid` (the largest
     recomputed rho over all pairs, guards included).
+
+    Beyond H, B and the pencil family, the solve's working set is about
+    eight blocks of n x nb doubles, reached during each H-apply (X, AX,
+    [W, P], S, AS) and at the stop (X, AX, [W, P], R, V and the recomputed
+    rho's two temporaries); see `_lobpcg`.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -7,6 +7,8 @@ a full-size Kronecker assembly kept here as the reference, as the solves
 are checked against a dense eigh.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -495,6 +497,50 @@ def test_lobpcg_floor_stop_is_certified_by_the_recomputed_rho():
     assert stage["iterations"] < 40
     assert np.all(res[:3] <= target)
     assert np.array_equal(res, direct_oracle._rho(op.H, op.B, V, lam))
+
+
+def test_solve_working_set_is_eight_blocks():
+    # in blocks of n x nb doubles, LOBPCG keeps X, AX and the [W, P] buffer;
+    # the H-apply adds S and AS (two each), and the stop R, V and the two
+    # temporaries of _rho.  Measured peak over what is held before the
+    # call: 8.4 blocks (13.4 when R, S and AS outlived their use and rho
+    # was formed in whole-block temporaries)
+    fr, grid = _helix(n=16, M_s=48, kind="disk")
+    op = assemble(fr, grid, 0.05)
+    op.family.section_basis  # the preconditioner's basis, built once per family
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        sol = solve_direct(op, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = op.n * sol.ritz_all.size * 8
+    assert sol.ritz_all.size == 10
+    assert (peak - held) / block < 10.5
+
+
+def test_rho_has_the_bits_of_the_whole_block_expression():
+    # _rho forms H U - (B U) lam in place; certificates and residual_rho
+    # keep the bits of the expression it replaced, near an eigenpair (where
+    # the difference cancels) and away from one
+    op = _helix_op(eps=0.1, n=12, M_s=24, kind="disk")
+    H, Bd = op.H, op.B
+    sol = solve_direct(op, 3)
+    rng = np.random.default_rng(5)
+    blocks = [
+        (sol.vectors, sol.lam),
+        (rng.standard_normal((op.n, 4)), rng.uniform(0.0, 2.0 * sol.lam[-1], 4)),
+    ]
+    for U, lam in blocks:
+        s = np.sqrt(Bd)[:, None]
+        whole = np.linalg.norm(
+            (H @ U - (Bd[:, None] * U) * lam) / s, axis=0
+        ) / np.linalg.norm(s * U, axis=0)
+        assert np.array_equal(direct_oracle._rho(H, Bd, U, lam), whole)
+        u, mu, s = U[:, 1], lam[1], np.sqrt(Bd)
+        whole = np.linalg.norm((H @ u - (Bd * u) * mu) / s) / np.linalg.norm(s * u)
+        assert np.array_equal(direct_oracle._rho(H, Bd, u, mu), whole)
 
 
 def test_solver_keeps_three_guard_columns_at_the_block_limit(monkeypatch):
