@@ -46,8 +46,8 @@ phi, R phi and R R phi) weighted by six per-row coefficients C (k1^2 Psi,
 k1 k2 Psi, k2^2 Psi; D_ss Psi, k3 D_s Psi + D_s(k3 Psi), k3^2 Psi), so no
 sparse product is left in it; a zero curvature gives an exactly zero
 column.  One order thus costs one block section solve (on a full
-rectangular mask four batched products of the s-rows with the two sine
-matrices, plus one sparse product for its residual check) and five
+rectangular mask four products of the s-rows with the two sine matrices,
+plus one sparse product for its residual check) and five
 sparse section products.
 """
 
@@ -284,10 +284,6 @@ class ExpansionState:
         return max((d for _, d in self.solve_defects), default=0.0)
 
 
-def _inner(ctx: EngineContext, A: TensorField, B: TensorField) -> float:
-    return float(ctx.frame.h * ctx.spectrum.h**2 * np.sum(A * B))
-
-
 def _row_scale(h2: float, T: TensorField) -> float:
     return float(np.sqrt(h2 * np.sum(T[1:-1] ** 2, axis=1)).max(initial=0.0))
 
@@ -325,7 +321,6 @@ def run_recurrence(
     psi = np.zeros((N + 1, M_s, nw))
     qphi = ctx.q * ctx.phi[None, :]
     psi[0] = Psi0[:, None] * ctx.phi[None, :]
-    psi0 = psi[0]
     # R psi_k for k < N - 1, computed once and read by every later step
     Rpsi = np.empty((N, M_s, nw))
     Rpsi[0] = Psi0[:, None] * ctx.Rphi[None, :]
@@ -339,7 +334,7 @@ def run_recurrence(
     # _row_scale of every finished psi_k; that of lambda_j psi_k is
     # |lambda_j| times it
     psi_scale = np.zeros(N)
-    psi_scale[0] = _row_scale(h2, psi0)
+    psi_scale[0] = _row_scale(h2, psi[0])
     Ft_next = np.zeros((M_s, nw))  # F~_{i+1} entering step i; F~_2 = 0
     for i in range(1, N):
         # section solve for psi~_{i+1}
@@ -369,21 +364,14 @@ def run_recurrence(
         Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft
 
-        # lambda_i from the two solvability sums
-        lam_i = -_inner(ctx, Ft, psi0)
-        for j in range(i):
-            lam_i -= 0.5 * lam_all[j + 2] * hs * float(
-                np.sum(Psi[i - j - 1] * Psi0 * ctx.q_n)
-            )
-        lam_all[i + 2] = lam_i
-
-        # reduced solve for Psi_i
+        # reduced solve for Psi_i; lambda_i makes its rhs orthogonal to Psi_0
         def _p_scale(v):
             return float(np.sqrt(hs * np.sum(v[1:-1] ** 2)))
 
         f = h2 * (Ft @ ctx.phi)
         for j in range(i):
             f += 0.5 * lam_all[j + 2] * Psi[i - j - 1] * ctx.q_n
+        lam_all[i + 2] = -hs * float(f @ Psi0)
         rhs = f.copy()
         r_scale = _p_scale(f)
         for j in range(1, i + 1):

@@ -62,7 +62,13 @@ import numpy as np
 
 from . import asymptotic_engine as engine
 from . import direct_oracle as oracle
-from .cross_section import disk_grid, mask_grid, solve_section, square_grid
+from .cross_section import (
+    _check_section_size,
+    disk_grid,
+    mask_grid,
+    solve_section,
+    square_grid,
+)
 from .curve_operator import solve_reduced
 from .errors import ConfigError, SolverFail, ThinRodError, UnderresolvedWindow
 from .geometry import CurveSpec, build_frame
@@ -484,7 +490,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
     """
     try:
-        oracle._check_section_size(cfg.grid)
+        _check_section_size(cfg.grid)
     except SolverFail as e:
         raise ConfigError("section.n", str(e)) from e
     spectrum = _solve_spectrum(cfg)

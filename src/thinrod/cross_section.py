@@ -23,10 +23,11 @@ coefficient of a disk, exactly zero in the limit, measures at about
 (rectangles, mask unions of cells) do not suffer from this and converge
 at O(h^2).
 
-On a full rectangular mask S is a Kronecker sum of 1D Dirichlet second
-differences, with a closed-form sine eigenbasis (_rectangle_sines); this
-module owns it for the direct solver's preconditioner, start block and
-rungs (rectangle_basis) and for the expansion's section solves.
+section_basis is the one eigenbasis of S: closed-form sines on a full
+rectangular mask (S is then a Kronecker sum of 1D Dirichlet second
+differences), a dense eigh, limited to _SPECTRAL_CUTOFF interior nodes,
+on any other.  The direct solver's preconditioner, start block and rungs
+read it, and so does the sine resolvent of the expansion's section solves.
 
 deflated_solve is the one deflated solve, shared by the section resolvent
 here and the reduced resolvent of curve_operator: a solvability check and
@@ -43,6 +44,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
+# after scipy.sparse on purpose: imported first, it made `import thinrod.cli`
+# about 15% slower (median of 24 imports each, 2-core machine)
+import scipy.linalg
 
 from .errors import ConfigError, MultipleEigenvalue, SolvabilityViolation, SolverFail
 
@@ -380,32 +384,51 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
-def _rectangle_sines(grid: SectionGrid):
-    """(lam_sec, sine2, sine3) of S on a full rectangular mask.
+# Non-rectangular sections up to this many interior nodes get a dense
+# eigenbasis (its eigh costs O(n_interior^3) time and O(n_interior^2)
+# memory); a full rectangular mask needs none.
+_SPECTRAL_CUTOFF = 4096
 
-    There S is a Kronecker sum of 1D Dirichlet second differences, so its
-    eigenbasis is the sine matrix along xi2 (mask axis 0) times the one
-    along xi3 (axis 1), and the eigenvalue of basis vector (i, j), flat
-    index i * n3 + j, is lam_sec[i * n3 + j], a closed-form sum (unsorted):
-    fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+def _check_section_size(grid: SectionGrid):
+    """Raise SolverFail if the section would need a dense basis above
+    _SPECTRAL_CUTOFF interior nodes: a non-rectangular mask."""
+    nw = grid.n_interior
+    if not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
+        raise SolverFail(
+            f"section has {nw} interior nodes, above the limit of "
+            f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis the direct "
+            "solve needs on a non-rectangular section; lower section.n"
+        )
+
+
+def section_basis(grid: SectionGrid):
+    """(lam_sec, to_modes, from_modes) of S: its eigenvalues and the
+    products of a column stack (n_interior, cols) with the transposed
+    eigenbasis and with the eigenbasis.
+
+    On a full rectangular mask S is a Kronecker sum of 1D Dirichlet second
+    differences, so its eigenbasis is the sine matrix along xi2 (mask axis
+    0) times the one along xi3 (axis 1): basis vector (i, j), flat index
+    i * n3 + j, has the closed-form eigenvalue lam_sec[i * n3 + j]
+    (unsorted), and both products are one map, sine2 (x) sine3, symmetric
+    and its own inverse (fast diagonalization: Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964).  Any other mask gets a dense eigenbasis,
+    ascending, from LAPACK's divide-and-conquer eigh (driver "evd", several
+    times faster than the default MRRR driver on the section Laplacian's
+    clustered spectrum), above _SPECTRAL_CUTOFF nodes refused by
+    :func:`_check_section_size`.
     """
+    if not grid.mask.all():
+        _check_section_size(grid)
+        lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
+        return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
     n2, n3 = grid.mask.shape
     lam_sec = (
         _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
         + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
     ).ravel()
-    return lam_sec, _sine_matrix(n2), _sine_matrix(n3)
-
-
-def rectangle_basis(grid: SectionGrid):
-    """(lam_sec, to_modes, from_modes) of S on a full rectangular mask
-    (`grid.mask.all()`): its closed-form eigenvalues (unsorted, see
-    :func:`_rectangle_sines`) and the products of a column stack
-    (n_interior, cols) with the transposed eigenbasis and with the
-    eigenbasis, which are one map, sine2 (x) sine3, symmetric and its own
-    inverse."""
-    lam_sec, sine2, sine3 = _rectangle_sines(grid)
-    n2, n3 = grid.mask.shape
+    sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
 
     def to_modes(U):
         cols = U.shape[1]
@@ -438,26 +461,22 @@ def _sine_resolvent(grid: SectionGrid, lam: float, phi: np.ndarray, w: float):
     """rows -> u by the closed-form deflated inverse of S - lam on a full
     rectangular mask.
 
-    Each row, viewed as an (n2, n3) array X, goes to the sine basis as
-    sine2 X sine3 (batched matmul over the rows), is scaled by
+    The rows go to the sine basis of :func:`section_basis`, are scaled by
     1/(mu_k - lam) with the basis vector whose mu_k lies nearest lam
-    dropped, and comes back the same way; u is then projected off phi in
-    <., .>_w, so <u, phi>_w = 0 holds to rounding.  At a multiple
-    eigenvalue a tied mu_k stays in and blows up (or, exactly equal, is
-    infinite): the residual guard of deflated_solve refuses the result.
+    dropped, and come back; u is then projected off phi in <., .>_w, so
+    <u, phi>_w = 0 holds to rounding.  At a multiple eigenvalue a tied
+    mu_k stays in and blows up (or, exactly equal, is infinite): the
+    residual guard of deflated_solve refuses the result.
     """
-    lam_sec, sine2, sine3 = _rectangle_sines(grid)
-    shape = grid.mask.shape
+    lam_sec, to_modes, from_modes = section_basis(grid)
     denom = lam_sec - lam
     denom[np.argmin(np.abs(denom))] = np.inf  # 1/inf = 0 drops mode n
     with np.errstate(divide="ignore"):
-        inv = (1.0 / denom).reshape(shape)
+        inv = (1.0 / denom)[:, None]
 
     def solve(rows):
         with np.errstate(invalid="ignore"):
-            U = sine2 @ rows.reshape(-1, *shape) @ sine3
-            U *= inv
-            out = (sine2 @ U @ sine3).reshape(rows.shape)
+            out = from_modes(to_modes(rows.T) * inv).T
             out -= (w * (out @ phi))[:, None] * phi[None, :]
         return out
 

@@ -44,13 +44,11 @@ as an independent reference.
 
 Solves are deterministic: one block LOBPCG run, implemented here, starts
 from the start block and is preconditioned by the exact shifted inverse of
-the separable part (applied as matrix products).  On a full rectangular
-mask the section eigenbasis is a product of two sine transforms with
-closed-form eigenvalues, taken from
-:func:`thinrod.cross_section.rectangle_basis`, the one owner of that basis
-(the expansion's section solves use it too); any other mask takes a dense
-eigenbasis from eigh, and a section of more than 4096 interior nodes is
-refused (:func:`_check_section_size`, which the CLI also runs first).
+the separable part (applied as matrix products).  The section eigenbasis is
+:func:`thinrod.cross_section.section_basis`: two sine transforms with
+closed-form eigenvalues on a full rectangular mask, a dense eigh on any
+other, which refuses a section of more than 4096 interior nodes (the CLI
+runs the same check first).
 
 One residual serves the stop test, the acceptance, the window edge and the
 certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
@@ -72,9 +70,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from . import asymptotic_engine as engine
 from .cross_section import (
@@ -82,8 +78,7 @@ from .cross_section import (
     _dirichlet_eigenvalues,
     _sine_matrix,
     build_operators,
-    laplacian,
-    rectangle_basis,
+    section_basis,
     solve_section,
 )
 from .errors import SolverFail, UnderresolvedWindow
@@ -284,18 +279,9 @@ class PencilFamily:
 
     @functools.cached_property
     def section_basis(self):
-        """(lam_sec, to_modes, from_modes) of the section Laplacian S:
-        its eigenvalues (unsorted on a rectangle) and the products with
-        the transposed eigenbasis and with the eigenbasis.  Closed-form
-        sines on a full rectangular mask
-        (:func:`thinrod.cross_section.rectangle_basis`), a dense eigh on
-        any other, which :func:`_check_section_size` limits."""
-        grid = self.grid
-        if grid.mask.all():
-            return rectangle_basis(grid)
-        _check_section_size(grid)
-        lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
-        return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
+        """(lam_sec, to_modes, from_modes) of the section Laplacian S, from
+        :func:`thinrod.cross_section.section_basis`, built once."""
+        return section_basis(self.grid)
 
     @functools.cached_property
     def axial_sine(self) -> np.ndarray:
@@ -561,26 +547,9 @@ def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
     return (axial[:, None, :] * section[None, :, :]).reshape(op.n, nb)
 
 
-# Non-rectangular sections up to this many interior nodes get a dense
-# section eigenbasis (its eigh costs O(n_omega^3) time and O(n_omega^2)
-# memory); a full rectangular mask needs none.
-_SPECTRAL_CUTOFF = 4096
-
-
-def _check_section_size(grid: SectionGrid):
-    """Raise SolverFail if the section would need a dense basis above
-    _SPECTRAL_CUTOFF interior nodes: a non-rectangular mask."""
-    nw = grid.n_interior
-    if not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
-        raise SolverFail(
-            f"section has {nw} interior nodes, above the limit of "
-            f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis the direct "
-            "solve needs on a non-rectangular section; lower section.n"
-        )
-
-
 def _separable_preconditioner(op: TransformedOperator):
-    """Exact shifted inverse of the separable part of the pencil.
+    """Exact shifted inverse of the separable part of the pencil, as a
+    function of a vector or a column stack.
 
     H splits as eps^-2 S (x) I + I (x) D_s plus curvature/twist blocks that
     are relatively bounded, so (sep - sigma I)^{-1} with sigma = eps^-2
@@ -596,13 +565,8 @@ def _separable_preconditioner(op: TransformedOperator):
     stays flat as the rod thins (a shift a fixed fraction below eps^-2
     lambda_1 leaves the wanted pairs O(eps^-2) above it, and the
     preconditioned gaps shrink like eps^2).  Every denominator is at least
-    theta_1 > 0, so the operator stays SPD.  On a full rectangular mask
-    (`grid.mask.all()`) the section eigenbasis is closed-form, two sine
-    matrices (fast diagonalization, see
-    :func:`thinrod.cross_section.rectangle_basis`); any other mask gets a
-    dense eigenbasis from LAPACK's divide-and-conquer eigh (driver "evd"),
-    several times faster than the default MRRR driver on the section
-    Laplacian's clustered spectrum.
+    theta_1 > 0, so the operator stays SPD.  The section eigenbasis is the
+    family's (:func:`thinrod.cross_section.section_basis`).
     """
     ms, nw = op.M_s - 2, op.n_omega
     family = op.family
@@ -620,7 +584,7 @@ def _separable_preconditioner(op: TransformedOperator):
         U = U.reshape(nw, ms, k).transpose(1, 0, 2).reshape(ms, nw * k)
         return (sine @ U).reshape(X.shape)
 
-    return LinearOperator((op.n, op.n), matvec=apply, matmat=apply, dtype=float)
+    return apply
 
 
 def _svqb(S: np.ndarray) -> np.ndarray:
@@ -710,7 +674,7 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         R *= s  # H u - lambda B u
         stage["iterations"] += 1
         stage["prec_applies"] += 1
-        np.multiply(prec @ R, s, out=WP[:, :nb])
+        np.multiply(prec(R), s, out=WP[:, :nb])
         del R
         S = WP[:, : nb + n_p]
         for _ in range(2):
@@ -781,8 +745,8 @@ def solve_direct(
     it, or SolverFail is raised with the history.  The solution records the
     target.  The window edge is the top guard's Ritz value
     minus its rho: an unconverged guard only lowers it.  A non-rectangular
-    section above _SPECTRAL_CUTOFF nodes raises SolverFail when the
-    preconditioner reads the section basis, before any iteration.
+    section above cross_section._SPECTRAL_CUTOFF nodes raises SolverFail
+    when the preconditioner reads the section basis, before any iteration.
 
     The history has one entry: `stage` (always "lobpcg"), `iterations`
     (preconditioned steps), `h_applies` (block products with H inside the

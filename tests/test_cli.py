@@ -452,6 +452,31 @@ def test_sweep_fails_the_rate_of_a_perturbed_expansion(tmp_path, capsys, monkeyp
     assert failure["slope"] < 2.5
 
 
+def test_sweep_certifies_the_second_branch_on_a_rectangle(tmp_path, capsys):
+    # the 11 x 17 rectangle has a simple lambda_2, so modes (2, 1) and
+    # (2, 2) certify like (1, 1); its unequal sides run both users of the
+    # sine basis, the preconditioner and the section resolvent (measured:
+    # 26 pairs, gap slopes 2.000 / 2.015 / 2.035, (2, 1) at index 22)
+    rectangle = Path(__file__).parent / "data" / "rectangle_11x17.mask"
+    path = write_config(
+        tmp_path,
+        {"section": {"kind": "mask", "path": str(rectangle)}, "M_s": 24,
+         "modes": [[1, 1], [2, 1], [2, 2]], "epsilon": [0.2, 0.1]},
+        base=HELIX,
+    )
+    code, payload = run_main(
+        ["sweep", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert (code, payload) == (0, {"failures": []})
+    report = json.loads((tmp_path / "thinrod_sweep.json").read_text())
+    assert len(report["rows"]) == 6
+    for row in report["rows"]:
+        assert row["flags"] == [] and row["bound_ok"] is True
+    assert sorted(report["slopes"]) == ["n1_m1", "n2_m1", "n2_m2"]
+    for fit in report["slopes"].values():
+        assert 1.5 <= fit["gap"] <= 2.5  # the default window at order 3
+
+
 # ----------------------------------------------------------------------
 # entry point and exit codes
 # ----------------------------------------------------------------------
@@ -616,7 +641,7 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     # a non-rectangular section above the limit is rejected before any
     # section solve, recurrence or assembly; a straight untwisted rod too,
     # since its start block reads the same dense section basis
-    monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
+    monkeypatch.setattr("thinrod.cross_section._SPECTRAL_CUTOFF", 16)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("pre-flight check ran too late")
@@ -648,7 +673,7 @@ def test_square_helix_above_spectral_cutoff_still_solves(
 ):
     # a full rectangular mask needs no dense section basis: the solve runs
     # past the limit and agrees with a dense eigh of the assembled pencil
-    monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
+    monkeypatch.setattr("thinrod.cross_section._SPECTRAL_CUTOFF", 16)
     path = write_config(
         tmp_path, {"epsilon": 0.2, "modes": [[1, 1], [1, 2]]}, base=HELIX
     )
@@ -671,7 +696,7 @@ def test_square_helix_above_spectral_cutoff_still_solves(
 def test_straight_rod_above_spectral_cutoff_still_solves(
     tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(cli.oracle, "_SPECTRAL_CUTOFF", 16)
+    monkeypatch.setattr("thinrod.cross_section._SPECTRAL_CUTOFF", 16)
     path = write_config(tmp_path, {"epsilon": 0.2})
     assert cli.parse_config(path).grid.n_interior > 16
     code, payload = run_main(

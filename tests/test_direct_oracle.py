@@ -261,8 +261,8 @@ def test_iterative_solver_on_curved_twisted_rod():
 @pytest.mark.parametrize("section", ["square", "mask", "disk"])
 def test_preconditioner_is_exact_separable_inverse(tmp_path, section):
     # a straight untwisted rod has B = I and H equal to its separable part,
-    # so the preconditioner inverts H - sigma I exactly, through the
-    # operator's matmat for a block of columns and its matvec for a vector.
+    # so the preconditioner inverts H - sigma I exactly, applied to a block
+    # of columns and to a vector.
     # The square and the 7 x 11 all-ones mask take the sine (x) sine basis
     # (the mask's unequal sides catch swapped xi2 / xi3 axes), the disk
     # the dense eigenbasis.
@@ -284,9 +284,9 @@ def test_preconditioner_is_exact_separable_inverse(tmp_path, section):
     sigma = op.eps**-2.0 * lam_1  # the documented shift
     A = op.H - sigma * sp.identity(op.n, format="csr")
     X = np.cos(0.37 * np.arange(op.n * 4, dtype=float)).reshape(op.n, 4)
-    assert np.abs(prec.matmat(A @ X) - X).max() < 1e-12
+    assert np.abs(prec(A @ X) - X).max() < 1e-12
     x = X[:, 1].copy()
-    y = prec.matvec(A @ x)
+    y = prec(A @ x)
     assert y.shape == x.shape
     assert np.abs(y - x).max() < 1e-12
 
@@ -429,7 +429,7 @@ def test_inf_norm_reads_the_csr_rows(monkeypatch):
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):
     # only a non-rectangular section needs the dense basis
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
-    monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
+    monkeypatch.setattr("thinrod.cross_section._SPECTRAL_CUTOFF", 16)
     assert op.n_omega > 16
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
         solve_direct(op, 3)
@@ -440,13 +440,13 @@ def test_preconditioner_above_spectral_cutoff_refuses_on_build(monkeypatch):
     # section above the limit is refused before anything is applied; a
     # rectangle of the same size needs no dense basis and builds
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
-    monkeypatch.setattr(direct_oracle, "_SPECTRAL_CUTOFF", 16)
+    monkeypatch.setattr("thinrod.cross_section._SPECTRAL_CUTOFF", 16)
     with pytest.raises(SolverFail, match=r"limit of 16\b.*section\.n"):
         direct_oracle._separable_preconditioner(op)
     square = _helix_op(eps=0.2, n=10, M_s=20)
     assert square.n_omega > 16
     prec = direct_oracle._separable_preconditioner(square)
-    assert np.all(np.isfinite(prec @ np.ones(square.n)))
+    assert np.all(np.isfinite(prec(np.ones(square.n))))
 
 
 def test_lobpcg_short_of_target_raises_solver_fail_with_history():
