@@ -52,6 +52,7 @@ All result files are written at the end.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import warnings
@@ -83,6 +84,10 @@ _DEFAULT_RHO_SLOPE_MIN = 1.5
 _VERIFY_COLUMNS = ("eps", "m", "lambda_direct", "lambda_partial", "abs_gap",
                    "residual_rho", "sin_angle")
 _EXPAND_HEADER = "n,m,i,lambda_i"
+
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX, the ceiling its dynamic mmap
+# threshold ratchets up to after a large free (mallopt(3))
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
 
 
 def _f17(x) -> str:
@@ -417,6 +422,25 @@ def _row_json(eps, r) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _pin_heap_thresholds() -> None:
+    """Keep freed field-sized temporaries in the heap from the first order on.
+
+    Sets glibc's mmap threshold to its ratchet ceiling and the trim
+    threshold to twice that, the state its dynamic thresholds reach by
+    themselves after one large free.  Until then every block of 128 KiB or
+    more is mmapped and unmapped, and each reuse faults its pages in again.
+    Set both or neither: either alone switches the ratchet off.  Without
+    glibc's `mallopt` this does nothing; results never depend on it.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, _MMAP_THRESHOLD_MAX)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2 * _MMAP_THRESHOLD_MAX)  # M_TRIM_THRESHOLD
+
+
 def cmd_expand(cfg: RunConfig, out_dir) -> list:
     """Expansion coefficients for every configured mode.
 
@@ -426,6 +450,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
     and grid metadata.  Returns the failure list (always empty unless an
     engine invariant is violated, which raises instead).
     """
+    _pin_heap_thresholds()
     out_dir = Path(out_dir)
     spectrum = _solve_spectrum(cfg)
     lines = [_EXPAND_HEADER]
@@ -489,6 +514,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     ([eps, the residual target its solve certified], in solve order),
     `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
     """
+    _pin_heap_thresholds()
     try:
         _check_section_size(cfg.grid)
     except SolverFail as e:

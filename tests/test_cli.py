@@ -1,5 +1,6 @@
 """Config parsing, command outputs, exit codes, and rerun determinism."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -1025,6 +1026,20 @@ print(json.dumps({"after_import": after_import, "after_runs": after_runs}))
 """
 
 
+def run_fresh(tmp_path, script, *args) -> list:
+    """Run `script` in a fresh interpreter that imports this `thinrod`;
+    return its stdout lines."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def deferred_modules_loaded(tmp_path, runs):
     """Run the commands in one fresh interpreter, since this one has long
     since imported whatever the other tests needed."""
@@ -1032,16 +1047,8 @@ def deferred_modules_loaded(tmp_path, runs):
     for k, (command, overrides, base) in enumerate(runs):
         config = write_config(tmp_path, overrides, base, name=f"cfg{k}.json")
         jobs.append([command, str(config), str(tmp_path / f"out{k}")])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_SET_SCRIPT, json.dumps(jobs),
-         json.dumps(DEFERRED)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = run_fresh(tmp_path, IMPORT_SET_SCRIPT, json.dumps(jobs), json.dumps(DEFERRED))
+    return json.loads(lines[-1])
 
 
 def test_analytic_curve_runs_load_no_deferred_scipy_module(tmp_path):
@@ -1069,3 +1076,39 @@ def test_sampled_curve_loads_the_deferred_modules_and_runs(tmp_path):
     lines = (tmp_path / "out0" / "thinrod_coefficients.csv").read_text().splitlines()
     assert lines[0] == "n,m,i,lambda_i"
     assert float(lines[1].split(",")[3]) > 0
+
+
+# ----------------------------------------------------------------------
+# heap thresholds
+# ----------------------------------------------------------------------
+
+# runs the expand of argv[1] twice and prints each run's minor page faults
+REFAULT_SCRIPT = """
+import resource, sys
+from thinrod import cli
+cfg = cli.parse_config(sys.argv[1])
+for out in ("first", "second"):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.cmd_expand(cfg, out)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt"
+)
+def test_a_second_expand_reuses_the_heap_of_the_first(tmp_path):
+    # the arc of the benchmark's order-6 expansion on a smaller grid: with
+    # glibc's default thresholds each freed field-sized temporary went back
+    # to the kernel, and the second run took 2 430 faults against 6 025
+    arc = {
+        "curve": {"kind": "circular_arc", "s0": 2.0, "radius": 1.5,
+                  "twist": "linear", "twist_rate": 0.4},
+        "section": {"kind": "square", "side": 1.0, "n": 20, "center": [0.15, 0.05]},
+        "M_s": 80,
+        "order": 6,
+        "modes": [[1, 1], [1, 2]],
+    }
+    first, second = map(int, run_fresh(tmp_path, REFAULT_SCRIPT,
+                                       str(write_config(tmp_path, base=arc))))
+    assert second <= first / 10, (first, second)

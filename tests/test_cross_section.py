@@ -1,5 +1,6 @@
 """Section eigenproblem, rotational coefficient, deflated resolvent."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -327,3 +328,16 @@ def test_square_spectrum_properties(n, side):
     # closed form: h = side/(n+1), lowest mode (1,1)
     lam_exact = (4.0 / s.h**2) * (1.0 - np.cos(np.pi * s.h / side))
     assert abs(s.lam[0] - lam_exact) < 1e-9 * lam_exact
+
+
+def test_scipy_linalg_is_imported_after_scipy_sparse():
+    # imported first (isort's order), scipy.linalg made `import thinrod.cli`
+    # about 15% slower, which every run pays in its start-up
+    tree = ast.parse(Path(cross_section.__file__).read_text())
+    line = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            line.update((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            line[node.module] = node.lineno
+    assert line["scipy.linalg"] > max(line["scipy.sparse"], line["scipy.sparse.linalg"])
