@@ -1100,7 +1100,7 @@ for out in ("first", "second"):
 def test_a_second_expand_reuses_the_heap_of_the_first(tmp_path):
     # the arc of the benchmark's order-6 expansion on a smaller grid: with
     # glibc's default thresholds each freed field-sized temporary went back
-    # to the kernel, and the second run took 2 430 faults against 6 025
+    # to the kernel, and the second run took 2 430 faults after 6 031
     arc = {
         "curve": {"kind": "circular_arc", "s0": 2.0, "radius": 1.5,
                   "twist": "linear", "twist_rate": 0.4},
