@@ -38,6 +38,7 @@ and a bordered sparse LU everywhere else.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -402,6 +403,36 @@ def _check_section_size(grid: SectionGrid):
         )
 
 
+def _cast_once(A: np.ndarray):
+    """dtype -> A in that dtype: A itself in its own dtype, a copy in any
+    other, made on the first request of that dtype and kept."""
+    return functools.cache(lambda dtype: A.astype(dtype, copy=False))
+
+
+class _SineProducts:
+    """The map sine2 (x) sine3 of an n2 x n3 full rectangular mask,
+    symmetric and its own inverse, on a column stack (n2 n3, cols) when
+    called and on a row stack (rows, n2 n3) by :meth:`rows`, in the dtype
+    of the stack.  Neither entry copies a C-ordered stack: the row stack
+    of the section resolvent goes in as it is, not transposed."""
+
+    def __init__(self, n2: int, n3: int):
+        self.n2, self.n3 = n2, n3
+        self.sine2 = _cast_once(_sine_matrix(n2))
+        self.sine3 = _cast_once(_sine_matrix(n3))
+
+    def __call__(self, U):
+        n2, n3, cols = self.n2, self.n3, U.shape[1]
+        U = (self.sine2(U.dtype) @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
+        return (self.sine3(U.dtype) @ U).reshape(n2 * n3, cols)
+
+    def rows(self, V):
+        # row k, viewed as an n2 x n3 array X, becomes sine2 X sine3
+        n2, n3, r = self.n2, self.n3, V.shape[0]
+        V = self.sine2(V.dtype) @ V.reshape(r, n2, n3)
+        return (V.reshape(r * n2, n3) @ self.sine3(V.dtype)).reshape(r, n2 * n3)
+
+
 def section_basis(grid: SectionGrid):
     """(lam_sec, to_modes, from_modes) of S: its eigenvalues and the
     products of a column stack (n_interior, cols) with the transposed
@@ -413,29 +444,32 @@ def section_basis(grid: SectionGrid):
     i * n3 + j, has the closed-form eigenvalue lam_sec[i * n3 + j]
     (unsorted), and both products are one map, sine2 (x) sine3, symmetric
     and its own inverse (fast diagonalization: Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964).  Any other mask gets a dense eigenbasis,
-    ascending, from LAPACK's divide-and-conquer eigh (driver "evd", several
-    times faster than the default MRRR driver on the section Laplacian's
-    clustered spectrum), above _SPECTRAL_CUTOFF nodes refused by
+    Numer. Math. 6, 1964), a :class:`_SineProducts` that also takes row
+    stacks.  Any other mask gets a dense eigenbasis, ascending, from
+    LAPACK's divide-and-conquer eigh (driver "evd", several times faster
+    than the default MRRR driver on the section Laplacian's clustered
+    spectrum), above _SPECTRAL_CUTOFF nodes refused by
     :func:`_check_section_size`.
+
+    The products are computed in the dtype of their input.  The basis is
+    built in float64, and a float64 stack is multiplied by it as it is; the
+    first float32 stack makes float32 copies of its matrices (the direct
+    solver's preconditioner applies in float32), which the products keep,
+    so a caller that only passes float64, as the section resolvent does,
+    never makes them.
     """
     if not grid.mask.all():
         _check_section_size(grid)
         lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
-        return lam_sec, np.ascontiguousarray(Phi.T).__matmul__, Phi.__matmul__
+        Phi = _cast_once(Phi)  # a transposed view multiplies without a copy
+        return lam_sec, lambda U: Phi(U.dtype).T @ U, lambda U: Phi(U.dtype) @ U
     n2, n3 = grid.mask.shape
     lam_sec = (
         _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]
         + _dirichlet_eigenvalues(grid.h, (n3 + 1) * grid.h, n3)[None, :]
     ).ravel()
-    sine2, sine3 = _sine_matrix(n2), _sine_matrix(n3)
-
-    def to_modes(U):
-        cols = U.shape[1]
-        U = (sine2 @ U.reshape(n2, n3 * cols)).reshape(n2, n3, cols)
-        return (sine3 @ U).reshape(n2 * n3, cols)
-
-    return lam_sec, to_modes, to_modes
+    sine = _SineProducts(n2, n3)
+    return lam_sec, sine, sine
 
 
 def _bordered_lu(A, lam: float, phi: np.ndarray):
@@ -461,22 +495,23 @@ def _sine_resolvent(grid: SectionGrid, lam: float, phi: np.ndarray, w: float):
     """rows -> u by the closed-form deflated inverse of S - lam on a full
     rectangular mask.
 
-    The rows go to the sine basis of :func:`section_basis`, are scaled by
-    1/(mu_k - lam) with the basis vector whose mu_k lies nearest lam
+    The rows go to the sine basis of :func:`section_basis` (by its row-stack
+    entry, so the row stack is neither transposed nor copied), are scaled
+    by 1/(mu_k - lam) with the basis vector whose mu_k lies nearest lam
     dropped, and come back; u is then projected off phi in <., .>_w, so
     <u, phi>_w = 0 holds to rounding.  At a multiple eigenvalue a tied
     mu_k stays in and blows up (or, exactly equal, is infinite): the
     residual guard of deflated_solve refuses the result.
     """
-    lam_sec, to_modes, from_modes = section_basis(grid)
+    lam_sec, sine, _ = section_basis(grid)
     denom = lam_sec - lam
     denom[np.argmin(np.abs(denom))] = np.inf  # 1/inf = 0 drops mode n
     with np.errstate(divide="ignore"):
-        inv = (1.0 / denom)[:, None]
+        inv = 1.0 / denom
 
     def solve(rows):
         with np.errstate(invalid="ignore"):
-            out = from_modes(to_modes(rows.T) * inv).T
+            out = sine.rows(sine.rows(rows) * inv)
             out -= (w * (out @ phi))[:, None] * phi[None, :]
         return out
 

@@ -44,7 +44,8 @@ as an independent reference.
 
 Solves are deterministic: one block LOBPCG run, implemented here, starts
 from the start block and is preconditioned by the exact shifted inverse of
-the separable part (applied as matrix products).  The section eigenbasis is
+the separable part (applied as matrix products, in float32; everything
+else in the solve is float64).  The section eigenbasis is
 :func:`thinrod.cross_section.section_basis`: two sine transforms with
 closed-form eigenvalues on a full rectangular mask, a dense eigh on any
 other, which refuses a section of more than 4096 interior nodes (the CLI
@@ -75,6 +76,7 @@ import scipy.sparse as sp
 from . import asymptotic_engine as engine
 from .cross_section import (
     SectionGrid,
+    _cast_once,
     _dirichlet_eigenvalues,
     _sine_matrix,
     build_operators,
@@ -507,14 +509,21 @@ class DirectSolution:
     history: list = field(default_factory=list)
 
 
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of A, in one pass and no temporary of
+    A's size (np.linalg.norm squares A into a copy first); on a C-ordered
+    block of two or more columns it has norm's bits."""
+    return np.sqrt(np.einsum("ij,ij->j", A, A))
+
+
 def _rho(H, Bd, U, lam):
     """rho = ||B^-1/2 (H u - lam B u)|| / ||B^1/2 u|| of the vector u = U, or
     of each column u of U with its entry of lam (B is diagonal, so the
     scaling is exact): some eigenvalue of the pencil lies within rho of lam."""
-    s, axis = np.sqrt(Bd), None  # a vector's norm is one dot product
+    s, norm = np.sqrt(Bd), np.linalg.norm  # a vector's norm is one dot product
     if U.ndim == 2:
-        s, Bd, axis = s[:, None], Bd[:, None], 0
-    den = np.linalg.norm(s * U, axis=axis)
+        s, Bd, norm = s[:, None], Bd[:, None], _column_norms
+    den = norm(s * U)
     # in place, at most two arrays of U's size at a time, with the bits of
     # (H @ U - (Bd * U) * lam) / s
     R = H @ U
@@ -523,7 +532,7 @@ def _rho(H, Bd, U, lam):
     R -= T
     del T
     R /= s
-    return np.linalg.norm(R, axis=axis) / den
+    return norm(R) / den
 
 
 def _start_block(op: TransformedOperator, nb: int) -> np.ndarray:
@@ -567,22 +576,34 @@ def _separable_preconditioner(op: TransformedOperator):
     preconditioned gaps shrink like eps^2).  Every denominator is at least
     theta_1 > 0, so the operator stays SPD.  The section eigenbasis is the
     family's (:func:`thinrod.cross_section.section_basis`).
+
+    The apply runs in the dtype of its input, and `_lobpcg` hands it
+    float32 blocks: the axial sine, the section products and the
+    denominators are float64 and get float32 copies on the first float32
+    input, which halves the bytes of every transform and runs its GEMMs in
+    single precision.  The preconditioner only picks search directions;
+    rho, the Rayleigh-Ritz step and every certificate stay float64 (mixed
+    precision: Higham & Mary, Acta Numerica 31, 2022), so its float32
+    rounding moves where a step searches, not what a solve accepts.  A
+    float64 input gets the float64 apply, the exact inverse to rounding.
     """
     ms, nw = op.M_s - 2, op.n_omega
     family = op.family
     lam_sec, to_modes, from_modes = family.section_basis
-    sine = family.axial_sine
-    inv_denom = 1.0 / (family.rungs(op.eps, ms) - op.eps**-2.0 * lam_sec.min())
+    sine = _cast_once(family.axial_sine)
+    inv_denom = _cast_once(
+        1.0 / (family.rungs(op.eps, ms) - op.eps**-2.0 * lam_sec.min())
+    )
 
     def apply(X):
         k = X.size // op.n
-        U = sine @ X.reshape(ms, nw * k)
+        U = sine(X.dtype) @ X.reshape(ms, nw * k)
         U = U.reshape(ms, nw, k).transpose(1, 0, 2).reshape(nw, ms * k)
         U = to_modes(U).reshape(nw, ms, k)
-        U *= inv_denom[:, :, None]
+        U *= inv_denom(X.dtype)[:, :, None]
         U = from_modes(U.reshape(nw, ms * k))
         U = U.reshape(nw, ms, k).transpose(1, 0, 2).reshape(ms, nw * k)
-        return (sine @ U).reshape(X.shape)
+        return (sine(X.dtype) @ U).reshape(X.shape)
 
     return apply
 
@@ -607,7 +628,10 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     SVQB twice, applies H to it explicitly and does the Rayleigh-Ritz step
     with X^T H X = diag(lambda).  In y, AX - X lambda = B^-1/2 (H u -
     lambda B u): its column norms over those of X are the rho of
-    :func:`_rho`, and B^1/2 (AX - X lambda) is what M is applied to.  It
+    :func:`_rho`, and B^1/2 (AX - X lambda) is what M is applied to, in
+    float32: the casts to float32 and back to float64 ride on the two B^1/2
+    scalings around M, so they add no pass over a block, and everything
+    else is float64.  It
     stops once the first K pairs have rho <= target / 4, or rho <= target
     with the largest fallen by less than half in the last step (the
     rounding floor of rho is near), checked before each preconditioner
@@ -620,12 +644,13 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
 
     Its working set, in blocks of n x nb doubles beyond H and the start
     block, is X, AX and the [W, P] buffer (two), with every other block
-    freed once spent: R once M has read it, S and AS at the end of their
-    step, V when the recomputed rho refuses a stop.  Once orthonormalized,
-    [W, P] is scratch: it takes S / B^1/2 for the H-apply, then AS Zs and
-    AX Zx.  So the H-apply holds X, AX, [W, P], S and AS (S of up to 2 nb
-    columns), and the stop X, AX, [W, P], R, V and the two temporaries of
-    :func:`_rho`: eight blocks each.
+    freed once spent: R once it is cast to float32 for M (whose own
+    temporaries are float32 too, half a block each), S and AS at the end of
+    their step, V when the recomputed rho refuses a stop.  Once
+    orthonormalized, [W, P] is scratch: it takes S / B^1/2 for the H-apply,
+    then AS Zs and AX Zx.  So the H-apply holds X, AX, [W, P], S and AS (S
+    of up to 2 nb columns), and the stop X, AX, [W, P], R, V and the two
+    temporaries of :func:`_rho`: eight blocks each.
     """
     nb = X.shape[1]
     s = np.sqrt(Bd)[:, None]
@@ -657,7 +682,7 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     while True:
         R = X * -lam
         R += AX  # B^-1/2 (H u - lambda B u)
-        rho = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
+        rho = _column_norms(R) / _column_norms(X)
         history = stage["residual_history"]
         history.append(float(rho[:K].max()))
         if (
@@ -671,7 +696,9 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
             if res[:K].max() <= target or stage["iterations"] == maxiter:
                 return lam, V, stage, res
             del V
-        R *= s  # H u - lambda B u
+        # H u - lambda B u in float32, and M R back to float64 in [W, P]:
+        # each cast rides on a B^1/2 scaling the step makes anyway
+        R = np.multiply(R, s, dtype=np.float32)
         stage["iterations"] += 1
         stage["prec_applies"] += 1
         np.multiply(prec(R), s, out=WP[:, :nb])
@@ -755,10 +782,13 @@ def solve_direct(
     largest rho over the K requested pairs) and `max_resid` (the largest
     recomputed rho over all pairs, guards included).
 
-    Beyond H, B and the pencil family, the solve's working set is about
-    eight blocks of n x nb doubles, reached during each H-apply (X, AX,
-    [W, P], S, AS) and at the stop (X, AX, [W, P], R, V and the recomputed
-    rho's two temporaries); see `_lobpcg`.
+    The preconditioner applies in float32 (see
+    `_separable_preconditioner`); the H-applies, the orthonormalization,
+    the Rayleigh-Ritz step, rho, the stop test and the returned pairs are
+    float64.  Beyond H, B and the pencil family, the solve's working set is
+    about eight blocks of n x nb doubles, reached during each H-apply (X,
+    AX, [W, P], S, AS) and at the stop (X, AX, [W, P], R, V and the
+    recomputed rho's two temporaries); see `_lobpcg`.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -18,8 +18,10 @@ from thinrod.cross_section import (
     deflated_resolvent,
     deflated_solve,
     disk_grid,
+    laplacian,
     mask_grid,
     rotational_coefficient,
+    section_basis,
     solve_section,
     square_grid,
 )
@@ -250,6 +252,42 @@ def test_sine_resolvent_matches_bordered_lu(n, monkeypatch):
     assert len(built) == 1
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(w * (u @ phi)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["rectangle", "disk"])
+def test_section_basis_products_follow_the_dtype_of_their_input(kind):
+    # the sine (x) sine map on the 11 x 17 rectangle, the dense eigenbasis
+    # on the disk: both diagonalize S, take float32 stacks to float32
+    # within float32 rounding, and keep their float64 products as they were
+    grid = mask_grid(RECTANGLE) if kind == "rectangle" else disk_grid(0.5, 12)
+    lam_sec, to_modes, from_modes = section_basis(grid)
+    U = np.cos(0.37 * np.arange(grid.n_interior * 5)).reshape(-1, 5)
+    modes, back = to_modes(U), from_modes(U)
+    S = laplacian(grid)
+    assert np.abs(to_modes(S @ U) - lam_sec[:, None] * modes).max() <= (
+        1e-12 * lam_sec.max() * np.abs(modes).max()
+    )
+    assert np.abs(from_modes(modes) - U).max() <= 1e-13
+    for product, ref in ((to_modes, modes), (from_modes, back)):
+        single = product(U.astype(np.float32))
+        assert single.dtype == np.float32
+        assert np.abs(single - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.array_equal(product(U), ref)
+    if kind == "rectangle":
+        # the row-stack entry of the section resolvent: the same products
+        for rows in (U.T.copy(), U.T.astype(np.float32)):
+            assert np.abs(to_modes.rows(rows) - modes.T).max() <= (
+                1e-6 if rows.dtype == np.float32 else 1e-15
+            ) * np.abs(modes).max()
+
+
+def test_cast_once_keeps_its_own_dtype_and_one_copy_of_another():
+    A = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    cast = cross_section._cast_once(A)
+    assert cast(np.dtype(np.float64)) is A  # float64 products use A itself
+    single = cast(np.dtype(np.float32))
+    assert single.dtype == np.float32 and np.array_equal(single, A.astype(np.float32))
+    assert cast(np.dtype(np.float32)) is single
 
 
 def test_disk_resolvent_caches_a_bordered_lu(monkeypatch):
