@@ -454,21 +454,3 @@ def check_epsilon(q: TensorField, eps: float) -> None:
     bound = 0.5 / qmax if qmax > 0 else np.inf
     if not 0 < eps < bound:
         raise EpsilonOutOfRange(f"eps = {eps:g} outside (0, {bound:g})")
-
-
-def order_equation_residual(state: ExpansionState, i: int) -> float:
-    """Grid norm of the order-i equation defect,
-    (S - lam_n) psi_i - sum_j lambda_{j-2} psi_{i-j} - F_i,
-    F_i = sum_{j=1}^{i} (F_j - lambda_{j-3} q) psi_{i-j}; rounding-level
-    for 0 <= i <= N-2 (higher orders are truncated).
-    """
-    if not 0 <= i <= state.N - 2:
-        raise ValueError("residual defined for 0 <= i <= N-2")
-    ctx = state.ctx
-    r = _sec(ctx.spectrum.ops.S, state.psi[i]) - ctx.lam_n * state.psi[i]
-    for j in range(1, i + 1):
-        r -= state.lam[j] * state.psi[i - j]  # lam[j] = lambda_{j-2}
-        r -= apply_Fj(ctx, j, state.psi[i - j])
-        if j != 2:  # lambda_{j-3}: lam_n at j=1, 0 at j=2
-            r += state.lam[j - 1] * ctx.q * state.psi[i - j]
-    return float(np.sqrt(ctx.frame.h * ctx.spectrum.h**2 * np.sum(r**2)))

@@ -359,12 +359,6 @@ def _closure_rotational(grid: SectionGrid, phi: np.ndarray) -> float:
     return float(h * h * np.sum((w2 * w3 * rp * rp)[clo]))
 
 
-def rotational_coefficient(spectrum: SectionSpectrum, n: int):
-    """C_n = |R phi_n|^2 (closure quadrature) and the interior field R phi_n."""
-    _, p = spectrum.mode(n)
-    return float(spectrum.C[n - 1]), spectrum.ops.R @ p
-
-
 def _dirichlet_eigenvalues(h: float, length: float, count: int) -> np.ndarray:
     """The lowest `count` eigenvalues (4/h^2) sin^2(m pi h / (2 length)),
     m = 1, 2, ..., of the Dirichlet second-difference matrix -d^2 with

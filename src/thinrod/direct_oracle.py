@@ -54,13 +54,12 @@ runs the same check first).
 One residual serves the stop test, the acceptance, the window edge and the
 certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
 some eigenvalue of the pencil lies within rho of lambda (Parlett, The
-Symmetric Eigenvalue Problem).  The run stops once the K requested pairs
-reach a quarter of ``target = max(tol, 8 * eps_mach * ||H||_inf)`` (tol is
-1e-8 by default; the second term is the floating-point floor of rho), or
-reach the target itself while no longer halving it per step, provided
-rho recomputed from H meets the target as well; a run that ends at maxiter
-must still meet it, or the solve raises SolverFail with LOBPCG's residual
-history.  The guard columns beyond K only set the window edge and
+Symmetric Eigenvalue Problem).  The run stops at the first step where the
+K requested pairs reach ``target = max(tol, 8 * eps_mach * ||H||_inf)``
+(tol is 1e-8 by default; the second term is the floating-point floor of
+rho) and rho recomputed from H meets it as well; a run that ends at
+maxiter must still meet it, or the solve raises SolverFail with LOBPCG's
+residual history.  The guard columns beyond K only set the window edge and
 need not converge.
 """
 
@@ -496,7 +495,8 @@ class DirectSolution:
     returned pair, each at most `target` = max(tol, 8 eps_mach ||H||_inf);
     `ritz_all` includes the guard values computed beyond the requested K and
     `window_guard` = top guard value minus its rho, the reliable upper edge
-    for nearest-eigenvalue claims.
+    for nearest-eigenvalue claims; `history` is described in
+    :func:`solve_direct`.
     """
 
     op: TransformedOperator
@@ -632,15 +632,14 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
     float32: the casts to float32 and back to float64 ride on the two B^1/2
     scalings around M, so they add no pass over a block, and everything
     else is float64.  It
-    stops once the first K pairs have rho <= target / 4, or rho <= target
-    with the largest fallen by less than half in the last step (the
-    rounding floor of rho is near), checked before each preconditioner
-    apply.  Near that floor the accumulated AX drifts from H X by a few
-    percent of rho, so such a stop is taken only if rho recomputed from H
-    (:func:`_rho`) also meets the target; it always stops after maxiter
-    steps.  The other columns are guards, carried but not required to
-    converge.  Returns (lambda, B-orthonormal u, history entry, recomputed
-    rho of every column).
+    has one stop test, made before each preconditioner apply: the first K
+    pairs have rho <= target.  Near the rounding floor of rho the
+    accumulated AX drifts from H X by a few percent of rho, so the stop is
+    taken only if rho recomputed from H (:func:`_rho`) also meets the
+    target; a refused check leaves the iterate as it was.  It always stops
+    after maxiter steps.  The other columns are guards, carried but not
+    required to converge.  Returns (lambda, B-orthonormal u, history entry,
+    recomputed rho of every column).
 
     Its working set, in blocks of n x nb doubles beyond H and the start
     block, is X, AX and the [W, P] buffer (two), with every other block
@@ -660,13 +659,10 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         "stage": "lobpcg",
         "preconditioner": "separable",
         "iterations": 0,
-        "h_applies": 0,
-        "prec_applies": 0,
         "residual_history": [],
     }
 
     def apply_h(Y):
-        stage["h_applies"] += 1
         # Y / s goes contiguously into [W, P], which no caller still needs
         AY = H @ np.divide(Y, s, out=spent[: Y.size].reshape(Y.shape))
         AY /= s
@@ -685,12 +681,7 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         rho = _column_norms(R) / _column_norms(X)
         history = stage["residual_history"]
         history.append(float(rho[:K].max()))
-        if (
-            history[-1] <= 0.25 * target
-            or (history[-1] <= target and len(history) > 1
-                and history[-1] > 0.5 * history[-2])
-            or stage["iterations"] == maxiter
-        ):
+        if history[-1] <= target or stage["iterations"] == maxiter:
             V = X / s
             res = _rho(H, Bd, V, lam)
             if res[:K].max() <= target or stage["iterations"] == maxiter:
@@ -700,7 +691,6 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         # each cast rides on a B^1/2 scaling the step makes anyway
         R = np.multiply(R, s, dtype=np.float32)
         stage["iterations"] += 1
-        stage["prec_applies"] += 1
         np.multiply(prec(R), s, out=WP[:, :nb])
         del R
         S = WP[:, : nb + n_p]
@@ -764,23 +754,23 @@ def solve_direct(
     min(K + max(3, K), n // 4) columns.  At least three of them are guards,
     so K may be at most `max_pairs(n)` = n // 4 - 3 (else SolverFail before
     any iteration): with no guard, a cluster cut by the block edge can stall
-    LOBPCG short of the target.  It stops once the K requested pairs have
-    rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u|| <= target / 4, or
-    <= target and no longer halving per step, where target = max(tol,
-    8 eps_mach ||H||_inf), and rho recomputed from H (:func:`_rho`) meets
-    the target too; after maxiter steps each requested pair must still meet
-    it, or SolverFail is raised with the history.  The solution records the
-    target.  The window edge is the top guard's Ritz value
-    minus its rho: an unconverged guard only lowers it.  A non-rectangular
+    LOBPCG short of the target.  It stops at the first step where the K
+    requested pairs have rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||
+    <= target, where target = max(tol, 8 eps_mach ||H||_inf), and rho
+    recomputed from H (:func:`_rho`) meets the target too; after maxiter
+    steps each requested pair must still meet it, or SolverFail is raised
+    with the history.  The solution records the target.  The window edge
+    is the top guard's Ritz value minus its rho: an unconverged guard only
+    lowers it.  A non-rectangular
     section above cross_section._SPECTRAL_CUTOFF nodes raises SolverFail
     when the preconditioner reads the section basis, before any iteration.
 
-    The history has one entry: `stage` (always "lobpcg"), `iterations`
-    (preconditioned steps), `h_applies` (block products with H inside the
-    iteration: one for the start block and one per step), `prec_applies`,
-    `residual_history` (per iteration, starting with the start block, the
-    largest rho over the K requested pairs) and `max_resid` (the largest
-    recomputed rho over all pairs, guards included).
+    The history has one entry: `stage` (always "lobpcg"), `preconditioner`
+    (always "separable"), `iterations` (preconditioned steps, each one
+    preconditioner apply and one block product with H, after the start
+    block's), `residual_history` (per iteration, starting with the start
+    block, the largest rho over the K requested pairs) and `max_resid` (the
+    largest recomputed rho over all pairs, guards included).
 
     The preconditioner applies in float32 (see
     `_separable_preconditioner`); the H-applies, the orthonormalization,

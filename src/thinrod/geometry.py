@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FrameDrift, FrenetUndefined, InvalidCurve
+from .errors import FrameDrift, InvalidCurve
 
 _AXES = np.eye(3)
 
@@ -331,11 +331,6 @@ def _curvatures(tau, eta, beta, h):
     return k1, k2, k3
 
 
-def curvatures_from_frame(frame: FrameField):
-    """kappa1 = tau'.eta, kappa2 = -tau'.beta, kappa3 = eta'.beta by FD."""
-    return _curvatures(frame.tau, frame.eta, frame.beta, frame.h)
-
-
 def _validate(frame: FrameField) -> None:
     for name, v in (("tau", frame.tau), ("eta", frame.eta), ("beta", frame.beta)):
         err = np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0))
@@ -352,57 +347,3 @@ def _validate(frame: FrameField) -> None:
     err = np.max(np.abs(frame.beta - np.cross(frame.tau, frame.eta)))
     if err > 1e-8:
         raise FrameDrift(f"beta != tau x eta by {err:.3e}")
-
-
-def frame_ode_residual(frame: FrameField) -> float:
-    """Max nodal residual of tau' = k1 eta - k2 beta, eta' = -k1 tau + k3 beta,
-    beta' = k2 tau - k3 eta, with 4th-order FD derivatives."""
-    h = frame.h
-    taup = diff4(frame.tau, h)
-    etap = diff4(frame.eta, h)
-    betap = diff4(frame.beta, h)
-    k1 = frame.kappa1[:, None]
-    k2 = frame.kappa2[:, None]
-    k3 = frame.kappa3[:, None]
-    r1 = taup - (k1 * frame.eta - k2 * frame.beta)
-    r2 = etap - (-k1 * frame.tau + k3 * frame.beta)
-    r3 = betap - (k2 * frame.tau - k3 * frame.eta)
-    return float(max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max()))
-
-
-@dataclass(frozen=True)
-class FrenetReport:
-    max_curvature_dev: float  # max |k1^2 + k2^2 - kappa^2|
-    max_torsion_dev: float  # max |k3 - alpha' - torsion|
-    kappa_min: float
-    kappa_max: float
-
-
-def frenet_consistency_check(frame: FrameField) -> FrenetReport:
-    """Compare frame curvatures against Frenet quantities derived from r.
-
-    Raises FrenetUndefined when the curvature vanishes somewhere (e.g.
-    straight segments), in which case no Frenet frame exists.
-    """
-    h = frame.h
-    r1 = diff4(frame.r, h)
-    r2 = diff4(frame.r, h, order=2)
-    r3 = diff4(frame.r, h, order=3)
-    cr = np.cross(r1, r2)
-    crn = np.linalg.norm(cr, axis=1)
-    speed = np.linalg.norm(r1, axis=1)
-    kappa = crn / speed**3
-    kmin, kmax = float(kappa.min()), float(kappa.max())
-    if kmin < 1e-6 * max(kmax, 1.0 / frame.s0):
-        raise FrenetUndefined(
-            f"curvature ~ {kmin:.3e} somewhere; Frenet frame undefined"
-        )
-    torsion = _dots(cr, r3) / crn**2
-
-    # total angle between the Frenet normal and eta, from the frame itself
-    alpha_total = np.unwrap(np.arctan2(frame.kappa2, frame.kappa1))
-    alpha_prime = diff4(alpha_total, h)
-
-    dev_k = np.abs(frame.kappa1**2 + frame.kappa2**2 - kappa**2)
-    dev_t = np.abs(frame.kappa3 - alpha_prime - torsion)
-    return FrenetReport(float(dev_k.max()), float(dev_t.max()), kmin, kmax)

@@ -5,6 +5,7 @@ import pytest
 
 from thinrod import asymptotic_engine
 from thinrod.asymptotic_engine import (
+    ExpansionState,
     _f1_minus_lq,
     _ftilde,
     _ftilde_coefficients,
@@ -13,7 +14,6 @@ from thinrod.asymptotic_engine import (
     build_context,
     check_epsilon,
     lambda1_closed,
-    order_equation_residual,
     partial_sums,
     q_field,
     run_recurrence,
@@ -320,6 +320,25 @@ def test_expansion_orthogonality_invariants():
         assert np.max(np.abs(h2 * (psi_tilde @ st.ctx.phi))) < 1e-10
     for i in range(1, st.N):
         assert abs(hs * np.dot(st.Psi[i], st.Psi[0])) < 1e-10
+
+
+# test oracle: the defect of one order equation of the recurrence
+def order_equation_residual(state: ExpansionState, i: int) -> float:
+    """Grid norm of the order-i equation defect,
+    (S - lam_n) psi_i - sum_j lambda_{j-2} psi_{i-j} - F_i,
+    F_i = sum_{j=1}^{i} (F_j - lambda_{j-3} q) psi_{i-j}; rounding-level
+    for 0 <= i <= N-2 (higher orders are truncated).
+    """
+    if not 0 <= i <= state.N - 2:
+        raise ValueError("residual defined for 0 <= i <= N-2")
+    ctx = state.ctx
+    r = _sec(ctx.spectrum.ops.S, state.psi[i]) - ctx.lam_n * state.psi[i]
+    for j in range(1, i + 1):
+        r -= state.lam[j] * state.psi[i - j]  # lam[j] = lambda_{j-2}
+        r -= apply_Fj(ctx, j, state.psi[i - j])
+        if j != 2:  # lambda_{j-3}: lam_n at j=1, 0 at j=2
+            r += state.lam[j - 1] * ctx.q * state.psi[i - j]
+    return float(np.sqrt(ctx.frame.h * ctx.spectrum.h**2 * np.sum(r**2)))
 
 
 def test_order_equation_residuals():

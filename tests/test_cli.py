@@ -614,6 +614,12 @@ def _mask_config(tmp_path, data=None):
             t, {"section": {"kind": "mask", "path": str(t)}}), "section.path"),
         (lambda t: _mask_config(t, b"\xff\xfe 3 3\n"), "section.path"),
         (lambda t: _mask_config(t, b"not a header\n"), "section.path"),
+        (lambda t: write_config(t, {"section": {"kind": "hexagon"}}),
+         "section.kind"),
+        # a header of three rows over two
+        (lambda t: _mask_config(t, b"3 3 0.25\n111\n111\n"), "section.path"),
+        # 16 interior nodes, below the 25 a mask section needs
+        (lambda t: _mask_config(t, b"4 4 0.2\n" + b"1111\n" * 4), "section"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
@@ -621,7 +627,8 @@ def _mask_config(tmp_path, data=None):
          "modes-duplicate", "center-string", "center-bool", "points-string",
          "twist-values-string", "s0-huge-integer", "M_s-below-16",
          "s0-nan", "twist-rate-nan", "center-nan", "side-infinity",
-         "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header"],
+         "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header",
+         "section-kind-unknown", "mask-row-count", "mask-below-25-nodes"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,

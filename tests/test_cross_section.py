@@ -11,6 +11,7 @@ from scipy.special import jn_zeros
 
 from thinrod import cross_section
 from thinrod.cross_section import (
+    SectionSpectrum,
     _component_count,
     _finish_grid,
     _sine_resolvent,
@@ -20,7 +21,6 @@ from thinrod.cross_section import (
     disk_grid,
     laplacian,
     mask_grid,
-    rotational_coefficient,
     section_basis,
     solve_section,
     square_grid,
@@ -75,6 +75,13 @@ def test_disk_ground_state():
     assert_simple(s, 1)
     # staircase mask: only O(h) accuracy on a curved boundary
     assert abs(s.lam[0] - jn_zeros(0, 1)[0] ** 2) < 0.2
+
+
+# test oracle: C_n with the field R phi_n it integrates
+def rotational_coefficient(spectrum: SectionSpectrum, n: int):
+    """C_n = |R phi_n|^2 (closure quadrature) and the interior field R phi_n."""
+    _, p = spectrum.mode(n)
+    return float(spectrum.C[n - 1]), spectrum.ops.R @ p
 
 
 def test_square_c1_closed_form():

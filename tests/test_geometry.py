@@ -1,6 +1,7 @@
 """Frame construction, curvature extraction, finite-difference kernels."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,13 +12,73 @@ from thinrod import geometry
 from thinrod.errors import FrenetUndefined, InvalidCurve
 from thinrod.geometry import (
     CurveSpec,
+    FrameField,
+    _curvatures,
+    _dots,
     build_frame,
-    curvatures_from_frame,
     diff4,
     fd_weights,
-    frame_ode_residual,
-    frenet_consistency_check,
 )
+
+
+# test oracles: frame identities no command needs
+def curvatures_from_frame(frame: FrameField):
+    """kappa1 = tau'.eta, kappa2 = -tau'.beta, kappa3 = eta'.beta by FD."""
+    return _curvatures(frame.tau, frame.eta, frame.beta, frame.h)
+
+
+def frame_ode_residual(frame: FrameField) -> float:
+    """Max nodal residual of tau' = k1 eta - k2 beta, eta' = -k1 tau + k3 beta,
+    beta' = k2 tau - k3 eta, with 4th-order FD derivatives."""
+    h = frame.h
+    taup = diff4(frame.tau, h)
+    etap = diff4(frame.eta, h)
+    betap = diff4(frame.beta, h)
+    k1 = frame.kappa1[:, None]
+    k2 = frame.kappa2[:, None]
+    k3 = frame.kappa3[:, None]
+    r1 = taup - (k1 * frame.eta - k2 * frame.beta)
+    r2 = etap - (-k1 * frame.tau + k3 * frame.beta)
+    r3 = betap - (k2 * frame.tau - k3 * frame.eta)
+    return float(max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max()))
+
+
+@dataclass(frozen=True)
+class FrenetReport:
+    max_curvature_dev: float  # max |k1^2 + k2^2 - kappa^2|
+    max_torsion_dev: float  # max |k3 - alpha' - torsion|
+    kappa_min: float
+    kappa_max: float
+
+
+def frenet_consistency_check(frame: FrameField) -> FrenetReport:
+    """Compare frame curvatures against Frenet quantities derived from r.
+
+    Raises FrenetUndefined when the curvature vanishes somewhere (e.g.
+    straight segments), in which case no Frenet frame exists.
+    """
+    h = frame.h
+    r1 = diff4(frame.r, h)
+    r2 = diff4(frame.r, h, order=2)
+    r3 = diff4(frame.r, h, order=3)
+    cr = np.cross(r1, r2)
+    crn = np.linalg.norm(cr, axis=1)
+    speed = np.linalg.norm(r1, axis=1)
+    kappa = crn / speed**3
+    kmin, kmax = float(kappa.min()), float(kappa.max())
+    if kmin < 1e-6 * max(kmax, 1.0 / frame.s0):
+        raise FrenetUndefined(
+            f"curvature ~ {kmin:.3e} somewhere; Frenet frame undefined"
+        )
+    torsion = _dots(cr, r3) / crn**2
+
+    # total angle between the Frenet normal and eta, from the frame itself
+    alpha_total = np.unwrap(np.arctan2(frame.kappa2, frame.kappa1))
+    alpha_prime = diff4(alpha_total, h)
+
+    dev_k = np.abs(frame.kappa1**2 + frame.kappa2**2 - kappa**2)
+    dev_t = np.abs(frame.kappa3 - alpha_prime - torsion)
+    return FrenetReport(float(dev_k.max()), float(dev_t.max()), kmin, kmax)
 
 
 def test_fd_weights_polynomial_exactness():
