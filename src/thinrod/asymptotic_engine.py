@@ -273,6 +273,7 @@ class ExpansionState:
     psi: np.ndarray
     ctx: EngineContext
     lam0: float
+    reduced_gap: float  # next reduced eigenvalue minus lam0
     solve_defects: list = field(default_factory=list)
 
     def lam_i(self, i: int) -> float:
@@ -406,6 +407,7 @@ def run_recurrence(
         psi=psi,
         ctx=ctx,
         lam0=lam0,
+        reduced_gap=md.gap,
         solve_defects=defects,
     )
 

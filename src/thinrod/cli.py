@@ -70,7 +70,7 @@ from .cross_section import (
     solve_section,
     square_grid,
 )
-from .curve_operator import solve_reduced
+from .curve_operator import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it)
 from .errors import ConfigError, SolverFail, ThinRodError, UnderresolvedWindow
 from .geometry import CurveSpec, build_frame
 
@@ -348,7 +348,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a NaN or an infinity raises instead of being written
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def _solve_spectrum(cfg: RunConfig):
@@ -447,8 +449,9 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
     Writes `<prefix>_coefficients.csv` with rows n,m,i,lambda_i for
     i = -2 .. N-2, and a JSON sidecar with the per-mode section data
     (rotational coefficient, moments, spectral gaps), solvability defects,
-    and grid metadata.  Returns the failure list (always empty unless an
-    engine invariant is violated, which raises instead).
+    and grid metadata; the reduced gap comes from the recurrence's own
+    reduced solve.  Returns the failure list (always empty unless an engine
+    invariant is violated, which raises instead).
     """
     _pin_heap_thresholds()
     out_dir = Path(out_dir)
@@ -460,8 +463,6 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
         for i in range(-2, st.N - 1):
             lines.append(f"{st.n},{st.m},{i},{_f17(st.lam_i(i))}")
         k = st.n - 1
-        reduced_modes = solve_reduced(st.ctx.reduced, st.m + 1)
-        lam0_next = reduced_modes[st.m].lam0
         sidecar_modes.append(
             {
                 "n": st.n,
@@ -476,7 +477,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
                 },
                 "gaps": {
                     "section": float(spectrum.lam[k + 1] - spectrum.lam[k]),
-                    "reduced": float(lam0_next - st.lam0),
+                    "reduced": st.reduced_gap,
                 },
                 "lambda_diag": float(st.lam_diag),
                 "max_solve_defect": float(st.max_defect),

@@ -114,7 +114,8 @@ def disk_grid(radius: float, n: int, center=(0.0, 0.0)) -> SectionGrid:
 
 
 def mask_grid(path) -> SectionGrid:
-    """Load a text mask: first line "ny nz h", then ny rows of nz 0/1 tokens;
+    """Load a text mask: first line "ny nz h", then ny rows of nz 0/1 tokens
+    separated by any whitespace, or written as one token of nz characters;
     a file that cannot be read or parsed is a ConfigError on `section.path`."""
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
@@ -129,7 +130,8 @@ def mask_grid(path) -> SectionGrid:
         raise ConfigError("section.path", "bad header or row count")
     rows = []
     for k, line in enumerate(lines[1:]):
-        toks = line.split() if " " in line else list(line.strip())
+        toks = line.split()
+        toks = list(toks[0]) if len(toks) == 1 else toks  # a compact row
         if len(toks) != nz or any(t not in ("0", "1") for t in toks):
             raise ConfigError("section.path", f"row {k}: expected {nz} 0/1 tokens")
         rows.append([t == "1" for t in toks])

@@ -62,12 +62,14 @@ class ReducedOperator:
 
 @dataclass(frozen=True)
 class ReducedMode:
-    """Eigenpair of the reduced operator; Psi0 vanishes at both ends."""
+    """Eigenpair of the reduced operator; Psi0 vanishes at both ends.  gap
+    is the next eigenvalue minus lam0."""
 
     n: int
     m: int
     lam0: float
     Psi0: np.ndarray
+    gap: float
 
 
 def build_reduced(
@@ -84,7 +86,8 @@ def build_reduced(
 
 
 def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
-    """Lowest `count` eigenpairs, ascending, normalized, sign-fixed."""
+    """Lowest `count` eigenpairs, ascending, normalized, sign-fixed; the
+    solve computes one eigenvalue more, for the degeneracy check and gaps."""
     if count < 1:
         raise ValueError("count must be >= 1")
     m_int = op.s_grid.size - 2
@@ -95,8 +98,9 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
         L.diagonal(), L.diagonal(1), select="i", select_range=(0, count)
     )
     scale = max(np.abs(lam).max(), 1.0 / op.s0**2)
-    if np.any(np.diff(lam) <= _GAP_TOL * scale):
-        k = int(np.argmin(np.diff(lam)))
+    gaps = np.diff(lam)
+    if np.any(gaps <= _GAP_TOL * scale):
+        k = int(np.argmin(gaps))
         raise DegenerateReduced(
             f"reduced modes {k + 1},{k + 2}: gap {lam[k + 1] - lam[k]:.3e}"
         )
@@ -108,7 +112,7 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
         if psi[np.argmax(np.abs(psi))] < 0:
             psi = -psi
         psi.setflags(write=False)
-        out.append(ReducedMode(op.n, k + 1, float(lam[k]), psi))
+        out.append(ReducedMode(op.n, k + 1, float(lam[k]), psi, float(gaps[k])))
     return out
 
 

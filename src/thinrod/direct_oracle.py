@@ -183,8 +183,10 @@ class PencilFamily:
     index arrays.  Only the upper triangle of a diagonal block is computed
     and it is written to both triangles, and each lower off-diagonal block
     is the mirror of the upper one, so H is exactly symmetric as stored.
-    A straight rod has no bend terms and an untwisted one no R terms, and
-    their pattern leaves those out, so H holds no explicit zeros.
+    Every rod takes this one path, and its only choice is R: on an
+    untwisted rod it stores no entry, so the pattern leaves out every R
+    term and H holds no explicit zeros.  G2 and G3 have S's pattern, so on
+    a straight rod their zero coefficients add only +-0 to S's entries.
 
     The family also keeps the separable eigenbasis every solve reads at
     every eps: the section basis, the axial sine transform and, from
@@ -194,42 +196,37 @@ class PencilFamily:
     def __init__(self, frame: FrameField, grid: SectionGrid):
         self.frame, self.grid = frame, grid
         self.q = engine._tilt(frame, grid)
-        k1, k2, k3 = frame.kappa1, frame.kappa2, frame.kappa3
         ms, nw = frame.s_grid.size - 2, grid.n_interior
         hs = frame.h
-        self._bend = max(np.abs(k1).max(), np.abs(k2).max()) > 0.0
-        self._twist = np.abs(k3).max() > 0.0
         ops = build_operators(grid)
         I_w = sp.identity(nw, format="csr")
-        R = ops.R
+        # the one choice of rod kind: no R term on an untwisted rod
+        R = ops.R if np.abs(frame.kappa3).max() > 0.0 else sp.csr_matrix((nw, nw))
+        Rc = R.tocoo()
 
         # diagonal blocks: pattern, and the map from coefficient rows to
         # the upper triangle (strict upper entries first, then the diagonal)
-        Pd = _pattern(ops.S, R.T @ R) if self._twist else _pattern(ops.S)
+        Pd = _pattern(ops.S, R.T @ R)
         row_d = np.repeat(np.arange(nw), np.diff(Pd.indptr))
         strict = np.flatnonzero(Pd.indices > row_d)
         upper = np.concatenate([strict, np.flatnonzero(Pd.indices == row_d)])
-        stencils = [ops.S]
-        if self._bend:
-            G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
-            G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
-            stencils += [(G2 + G2.T) * 0.5, (G3 + G3.T) * 0.5]
+        G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
+        G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
+        stencils = [ops.S, (G2 + G2.T) * 0.5, (G3 + G3.T) * 0.5]
         cols = [sp.csr_matrix(np.column_stack([_on_pattern(Pd, A)[upper]
                                                for A in stencils]))]
-        if self._twist:
-            # R^T diag(c) R at (a, e) is the sum over b of R[b, a] R[b, e] c_b:
-            # one term per pair (t, u) of stored entries in the same row b
-            Rc = R.tocoo()
-            row = sp.csr_matrix((np.ones(Rc.nnz), (np.arange(Rc.nnz), Rc.row)),
-                                shape=(Rc.nnz, nw))
-            pairs = (row @ row.T).tocoo()
-            t, u = pairs.row, pairs.col
-            rr = sp.csr_matrix(
-                (Rc.data[t] * Rc.data[u],
-                 (_entry_index(Pd, Rc.col[t], Rc.col[u]), Rc.row[t])),
-                shape=(Pd.nnz, nw),
-            )
-            cols.append(rr[upper])
+        # R^T diag(c) R at (a, e) is the sum over b of R[b, a] R[b, e] c_b:
+        # one term per pair (t, u) of stored entries in the same row b
+        row = sp.csr_matrix((np.ones(Rc.nnz), (np.arange(Rc.nnz), Rc.row)),
+                            shape=(Rc.nnz, nw))
+        pairs = (row @ row.T).tocoo()
+        t, u = pairs.row, pairs.col
+        rr = sp.csr_matrix(
+            (Rc.data[t] * Rc.data[u],
+             (_entry_index(Pd, Rc.col[t], Rc.col[u]), Rc.row[t])),
+            shape=(Pd.nnz, nw),
+        )
+        cols.append(rr[upper])
         cols.append(sp.csr_matrix(
             (np.ones(nw), (np.arange(strict.size, upper.size), np.arange(nw))),
             shape=(upper.size, nw),
@@ -237,16 +234,15 @@ class PencilFamily:
         self._diag_map = sp.hstack(cols, format="csr")
 
         # off-diagonal blocks (i, i+1)
-        Po = _pattern(I_w, R) if self._twist else _pattern(I_w)
+        Po = _pattern(I_w, R)
         row_o, col_o = np.repeat(np.arange(nw), np.diff(Po.indptr)), Po.indices
         ident = _entry_index(Po, np.arange(nw), np.arange(nw))
         cols = [sp.csr_matrix((np.ones(nw), (ident, np.arange(nw))),
                               shape=(Po.nnz, nw))]
-        if self._twist:
-            r = _on_pattern(Po, R) * (-0.5 / hs)
-            for node in (col_o, row_o):  # (k3/p)_i at b, (k3/p)_{i+1} at a
-                cols.append(sp.csr_matrix((r, (np.arange(Po.nnz), node)),
-                                          shape=(Po.nnz, nw)))
+        r_at = _entry_index(Po, Rc.row, Rc.col)
+        r = Rc.data * (-0.5 / hs)
+        for node in (Rc.col, Rc.row):  # (k3/p)_i at b, (k3/p)_{i+1} at a
+            cols.append(sp.csr_matrix((r, (r_at, node)), shape=(Po.nnz, nw)))
         self._off_map = sp.hstack(cols, format="csr")
         mirror = _entry_index(Po, col_o, row_o)  # entry (a, b) -> entry (b, a)
 
@@ -310,18 +306,13 @@ class PencilFamily:
         # edge coefficient of the flux along s, boundary edges included
         c_s = 1.0 / (1.0 - eps * (0.5 * (q[:-1] + q[1:])))  # (M_s - 1, n_omega)
         p_int = 1.0 - eps * q[1:-1]
-        coef = [np.full((1, ms), eps**-2.0)]
-        if self._bend:
-            coef += [-k1[None, :] / eps, -k2[None, :] / eps]
-        if self._twist:
-            coef.append((k3[:, None] ** 2 / p_int).T)
-        coef.append(((c_s[:-1] + c_s[1:]) / hs**2).T)
-        Du = (self._diag_map @ np.vstack(coef)).T  # (ms, upper entries)
-        coef = [(-c_s[1:-1] / hs**2).T]
-        if self._twist:
-            c = (k3[:, None] / p_int).T
-            coef += [c[:, :-1], c[:, 1:]]
-        Ov = (self._off_map @ np.vstack(coef)).T  # (ms - 1, R u I entries)
+        coef = np.vstack([np.full((1, ms), eps**-2.0), -k1[None, :] / eps,
+                          -k2[None, :] / eps, (k3[:, None] ** 2 / p_int).T,
+                          ((c_s[:-1] + c_s[1:]) / hs**2).T])
+        Du = (self._diag_map @ coef).T  # (ms, upper entries)
+        c = (k3[:, None] / p_int).T
+        coef = np.vstack([(-c_s[1:-1] / hs**2).T, c[:, :-1], c[:, 1:]])
+        Ov = (self._off_map @ coef).T  # (ms - 1, R u I entries)
 
         data = np.empty(self.indices.size)
         n0, n_mid, n1 = self._seg
@@ -714,21 +705,12 @@ def _lobpcg(H, Bd, X, prec, K: int, target: float, maxiter: int):
         X += WP[:, nb:]
 
 
-_NORM_SLICE = 2**20  # entries of H.data per slice of _inf_norm
-
-
 def _inf_norm(H: sp.csr_matrix) -> float:
-    """max_i sum_j |H_ij|, from the CSR row segments of H.data, a slice of
-    about _NORM_SLICE entries at a time, so no copy of H is made."""
-    n, ptr = H.shape[0], H.indptr
-    step = max(1, (_NORM_SLICE * n) // max(1, H.nnz))  # rows per slice
-    best = 0.0
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        rows = np.repeat(np.arange(r1 - r0), np.diff(ptr[r0 : r1 + 1]))
-        seg = np.abs(H.data[ptr[r0] : ptr[r1]])
-        best = max(best, float(np.bincount(rows, seg, r1 - r0).max(initial=0.0)))
-    return best
+    """max_i sum_j |H_ij|, in one pass over the CSR row segments of H.data.
+    Every row of a pencil holds its positive diagonal, so no segment is
+    empty (np.add.reduceat reads an empty one as the next row's first
+    entry)."""
+    return float(np.add.reduceat(np.abs(H.data), H.indptr[:-1]).max())
 
 
 _MIN_GUARDS = 3
@@ -756,14 +738,17 @@ def solve_direct(
     any iteration): with no guard, a cluster cut by the block edge can stall
     LOBPCG short of the target.  It stops at the first step where the K
     requested pairs have rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||
-    <= target, where target = max(tol, 8 eps_mach ||H||_inf), and rho
-    recomputed from H (:func:`_rho`) meets the target too; after maxiter
-    steps each requested pair must still meet it, or SolverFail is raised
-    with the history.  The solution records the target.  The window edge
-    is the top guard's Ritz value minus its rho: an unconverged guard only
-    lowers it.  A non-rectangular
-    section above cross_section._SPECTRAL_CUTOFF nodes raises SolverFail
-    when the preconditioner reads the section basis, before any iteration.
+    <= target, where target = max(tol, 8 eps_mach ||H||_inf) (the norm in
+    one pass over H's rows, :func:`_inf_norm`), and rho recomputed from H
+    (:func:`_rho`) meets the target too; after maxiter steps each requested
+    pair must still meet it, or SolverFail is raised with the history.  The
+    solution records the target.  The window edge is the top guard's Ritz
+    value minus its rho: an unconverged guard only lowers it.  SolverFail
+    is also raised for a start block of fewer than nb independent columns,
+    for a ground eigenvalue that is not simple (K >= 2), and, before any
+    iteration, for a non-rectangular section above
+    cross_section._SPECTRAL_CUTOFF nodes, when the preconditioner reads the
+    section basis.
 
     The history has one entry: `stage` (always "lobpcg"), `preconditioner`
     (always "separable"), `iterations` (preconditioned steps, each one
@@ -873,7 +858,7 @@ class CompareRow:
     abs_gap: float
     rho: float
     sin_angle: float
-    neighbor_gap: float
+    neighbor_gap: float | None  # None when no other eigenvalue was computed
     bound_ok: bool | None
     flags: list = field(default_factory=list)
 
@@ -929,7 +914,7 @@ def compare(solution: DirectSolution, states, eps: float) -> CompareReport:
                 abs_gap=float(abs(solution.lam[j] - lam_p)),
                 rho=rho,
                 sin_angle=float(sin_angle),
-                neighbor_gap=float(others.min()) if others.size else np.inf,
+                neighbor_gap=float(others.min()) if others.size else None,
                 bound_ok=bound_ok,
             )
         )

@@ -204,9 +204,7 @@ def _sampled(spec: CurveSpec, M_s: int):
     if np.any(speed <= 0):
         raise InvalidCurve("vanishing speed after reparameterization")
     s_of_t = cumulative_trapezoid(speed, tq, initial=0.0)
-    s0 = float(s_of_t[-1])
-    if s0 <= 0:
-        raise InvalidCurve("curve too short")
+    s0 = float(s_of_t[-1])  # positive, since every speed is
     t_of_s = PchipInterpolator(s_of_t, tq)
 
     def sample(s):
@@ -219,11 +217,11 @@ def _sampled(spec: CurveSpec, M_s: int):
 
 
 def _pick_eta0(tau0: np.ndarray) -> np.ndarray:
-    for ax in _AXES:
-        if abs(float(tau0 @ ax)) < 0.9:
-            e = ax - (ax @ tau0) * tau0
-            return e / np.linalg.norm(e)
-    raise InvalidCurve("no admissible frame axis")  # unreachable for unit tau0
+    """e1, or e2 where |tau0 . e1| >= 0.9, projected off the unit tau0: then
+    |tau0 . e2| <= sqrt(1 - 0.9^2) < 0.44, so the projection never nears 0."""
+    ax = _AXES[0] if abs(float(tau0 @ _AXES[0])) < 0.9 else _AXES[1]
+    e = ax - (ax @ tau0) * tau0
+    return e / np.linalg.norm(e)
 
 
 def _transport(tau_f: np.ndarray, taup_f: np.ndarray, h: float) -> np.ndarray:

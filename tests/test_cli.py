@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from thinrod import asymptotic_engine as engine
 from thinrod import cli
+from thinrod.curve_operator import solve_reduced
 from thinrod.errors import ConfigError
 
 # ----------------------------------------------------------------------
@@ -245,6 +247,26 @@ def test_expand_sampled_curve_with_tabulated_twist(tmp_path, capsys):
     assert lines[2] == "1,1,-1,0"
 
 
+def test_expand_of_the_highest_axial_mode(tmp_path, capsys):
+    # M_s 20 leaves 18 interior nodes, so m = 17 is the highest mode the
+    # recurrence accepts; its reduced solve also computes lambda_18, and
+    # the sidecar's reduced gap comes from that solve
+    path = write_config(tmp_path, {"modes": [[1, 16], [1, 17]]}, base=HELIX)
+    code, payload = run_main(
+        ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+    side = json.loads((tmp_path / "thinrod_expand.json").read_text())
+    gaps = {mode["m"]: mode["gaps"]["reduced"] for mode in side["modes"]}
+    assert gaps[17] > 0
+    # the gap as a separate solve of m + 1 reduced modes reads it
+    cfg = cli.parse_config(path)
+    st = engine.run_recurrence(cfg.frame, cli._solve_spectrum(cfg), 1, 16, cfg.order)
+    ref = solve_reduced(st.ctx.reduced, 17)[16].lam0 - st.lam0
+    assert gaps[16] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_csv_floats_round_trip(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, base=HELIX))
     cli.cmd_expand(cfg, tmp_path)
@@ -296,6 +318,33 @@ def test_verify_underresolved_window_is_reported(tmp_path):
     report = json.loads((tmp_path / "thinrod_verify.json").read_text())
     assert report["warnings"], "expected an underresolved-window warning"
     assert report["rows"][0]["bound_ok"] is None
+
+
+def test_verify_with_one_pair_writes_strict_json(tmp_path, capsys):
+    # with one computed eigenvalue a row has no neighbour: its gap is null,
+    # and the report holds no NaN or Infinity literal
+    path = write_config(tmp_path, {"epsilon": 0.2, "solver": {"count": 1}},
+                        base=HELIX)
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+
+    def refuse(literal):
+        raise ValueError(f"non-JSON literal {literal}")
+
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text(),
+                        parse_constant=refuse)
+    (row,) = report["rows"]
+    assert report["eigenpairs_computed"] == 1
+    assert row["neighbor_gap"] is None
+    assert row["bound_ok"] is True
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"gap": float("inf")})
 
 
 def test_verify_dump_matrix_writes_file(tmp_path):
@@ -850,6 +899,18 @@ def test_main_exit_two_names_the_mode_being_expanded(tmp_path, capsys):
     )
 
 
+def test_main_exit_two_on_a_section_mode_beyond_the_grid(tmp_path, capsys):
+    # the 8 x 8 square has 64 interior nodes, too few for section mode 70
+    path = write_config(tmp_path, {"modes": [[70, 1]]})
+    code, payload = run_main(
+        ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    (failure,) = payload["failures"]
+    assert failure["kind"] == "SolverFail"
+    assert failure["message"] == "count 71 too large for 64 interior nodes"
+
+
 def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
     # an exception outside the typed errors is reported, not raised, and
     # never takes exit code 1, which means "checks failed"
@@ -1099,6 +1160,27 @@ for out in ("first", "second"):
     cli.cmd_expand(cfg, out)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def test_expand_without_mallopt_sets_nothing_and_writes_the_same_files(
+    tmp_path, monkeypatch
+):
+    # a libc without mallopt (not glibc): the thresholds are left alone,
+    # and the results do not depend on them
+    cfg = cli.parse_config(write_config(tmp_path, base=HELIX))
+    cli.cmd_expand(cfg, tmp_path / "glibc")
+
+    class NoMallopt:
+        pass
+
+    opened = []
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: opened.append(name) or NoMallopt())
+    cli.cmd_expand(cfg, tmp_path / "other")
+    assert opened == [None]
+    for name in ("thinrod_coefficients.csv", "thinrod_expand.json"):
+        assert ((tmp_path / "other" / name).read_bytes()
+                == (tmp_path / "glibc" / name).read_bytes())
 
 
 @pytest.mark.skipif(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import jn_zeros
 
 from thinrod import cross_section
@@ -316,6 +317,21 @@ def test_mask_file_roundtrip(tmp_path):
     solve_section(g, 1)
 
 
+def test_mask_rows_split_on_any_whitespace(tmp_path):
+    # the same 6 x 7 mask with tab-separated, space-separated and compact
+    # rows loads to one grid
+    rows = ["0111110", "1111111", "1111111", "1111111", "1111111", "0111110"]
+    grids = []
+    for name, sep in (("tab", "\t"), ("space", " "), ("compact", "")):
+        p = tmp_path / f"{name}.mask"
+        p.write_text("6 7 0.1\n" + "\n".join(sep.join(r) for r in rows) + "\n")
+        grids.append(mask_grid(p))
+    for g in grids[1:]:
+        for name in ("h", "mask", "idx", "xi2", "xi3"):
+            assert np.array_equal(getattr(g, name), getattr(grids[0], name)), name
+    assert grids[0].n_interior == 38
+
+
 def test_mask_file_rejects_bad_input(tmp_path):
     p = tmp_path / "bad.mask"
     p.write_text("not a header\n")
@@ -354,6 +370,29 @@ def test_component_count_matches_ndimage_label():
         idx = -np.ones(mask.shape, dtype=np.int64)
         idx[mask] = np.arange(n)
         assert _component_count(idx, n) == label(mask)[1]
+
+
+def test_solve_section_reports_an_arpack_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(cross_section, "eigsh", no_convergence)
+    with pytest.raises(SolverFail, match="section eigensolve failed: ARPACK error"):
+        solve_section(square_grid(1.0, 10), 2)
+
+
+def test_solve_section_refuses_a_nonpositive_eigenvalue(monkeypatch):
+    # the Dirichlet Laplacian is positive definite; an eigensolve that
+    # returns otherwise is refused, not passed on
+    eigsh = cross_section.eigsh
+
+    def negated(*args, **kwargs):
+        lam, vecs = eigsh(*args, **kwargs)
+        return -lam, vecs
+
+    monkeypatch.setattr(cross_section, "eigsh", negated)
+    with pytest.raises(SolverFail, match="nonpositive section eigenvalue"):
+        solve_section(square_grid(1.0, 10), 2)
 
 
 def test_minimum_size_enforced():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from thinrod.curve_operator import (
+    ReducedOperator,
     build_reduced,
     deflated_reduced_resolvent,
     solve_reduced,
 )
-from thinrod.errors import SolvabilityViolation
+from thinrod.errors import DegenerateReduced, SolvabilityViolation
 from thinrod.geometry import CurveSpec, build_frame
 
 C1_SQUARE = np.pi**2 / 6 - 1.5
@@ -109,3 +110,25 @@ def test_deflated_reduced_solvability_violation():
     md = solve_reduced(op, 1)[0]
     with pytest.raises(SolvabilityViolation):
         deflated_reduced_resolvent(op, md, md.Psi0)
+
+
+def test_each_mode_carries_its_gap_to_the_next():
+    # the solve of m modes computes lambda_{m+1} too; each mode's gap is
+    # the next eigenvalue minus its own
+    fr = build_frame(CurveSpec("circular_arc", s0=2.0, radius=1.5), 64)
+    op = build_reduced(fr, 0.3)
+    wider = solve_reduced(op, 4)
+    modes = solve_reduced(op, 3)
+    for k, md in enumerate(modes):
+        ref = wider[k + 1].lam0 - wider[k].lam0
+        assert md.gap == pytest.approx(ref, rel=1e-12)
+
+
+def test_symmetric_double_well_is_degenerate():
+    # two equal wells behind a barrier of height 1e4 and width about 1: the
+    # lowest pair splits by about exp(-100), far below the gap test
+    s = np.linspace(0.0, 3.0, 61)
+    V = np.zeros(61)
+    V[21:40] = 1e4  # symmetric about the middle node, 30
+    with pytest.raises(DegenerateReduced, match="reduced modes 1,2"):
+        solve_reduced(ReducedOperator(1, s, V), 2)

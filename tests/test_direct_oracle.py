@@ -110,7 +110,8 @@ def _kron_assembly(frame, grid, eps):
     return H
 
 
-# the four kinds of rod the family's pattern distinguishes
+# the four kinds of rod, bend and twist each present or absent: one path
+# builds them all, and only the twisted ones carry R terms
 RODS = {
     "straight": lambda: (build_frame(CurveSpec("straight", s0=np.pi), 20),
                          square_grid(1.0, 10), 0.1),
@@ -464,16 +465,42 @@ def test_solution_residuals_are_the_certificate_rho(kind, n):
     assert sol.target == pytest.approx(target, rel=1e-14)
 
 
-def test_inf_norm_reads_the_csr_rows(monkeypatch):
-    # the largest absolute row sum, without a copy of H, in one slice or
-    # in slices of a few rows; empty rows sum to 0
+def test_inf_norm_reads_the_csr_rows():
+    # the largest absolute row sum, in one pass over the row segments of
+    # H.data
     op = _helix_op(eps=0.2, n=10, M_s=20)
     ref = np.abs(op.H).sum(axis=1).max()
     assert direct_oracle._inf_norm(op.H) == pytest.approx(ref, rel=1e-14)
-    monkeypatch.setattr(direct_oracle, "_NORM_SLICE", 50)
-    assert direct_oracle._inf_norm(op.H) == pytest.approx(ref, rel=1e-14)
-    gappy = sp.csr_matrix(np.array([[0.0, 0.0], [-3.0, 1.0], [0.0, 0.0]]))
-    assert direct_oracle._inf_norm(gappy) == 4.0
+
+
+def test_degenerate_start_block_raises_solver_fail(monkeypatch):
+    # a start block with two equal columns spans fewer than nb directions
+    start_block = direct_oracle._start_block
+
+    def repeated(op, nb):
+        X = start_block(op, nb)
+        X[:, 1] = X[:, 0]
+        return X
+
+    monkeypatch.setattr(direct_oracle, "_start_block", repeated)
+    with pytest.raises(SolverFail, match="degenerate start block"):
+        solve_direct(_helix_op(eps=0.2, n=10, M_s=20), 3)
+
+
+def test_double_ground_eigenvalue_raises_solver_fail(monkeypatch):
+    # the expansion pairs its modes with a simple ground state; a solve
+    # whose two lowest values coincide is refused, with its history
+    lobpcg = direct_oracle._lobpcg
+
+    def doubled(*args, **kwargs):
+        lam, V, stage, res = lobpcg(*args, **kwargs)
+        lam[1] = lam[0]
+        return lam, V, stage, res
+
+    monkeypatch.setattr(direct_oracle, "_lobpcg", doubled)
+    with pytest.raises(SolverFail, match="ground eigenvalue not simple") as exc:
+        solve_direct(_helix_op(eps=0.2, n=10, M_s=20), 3)
+    assert [h["stage"] for h in exc.value.history] == ["lobpcg"]
 
 
 def test_section_above_spectral_cutoff_raises_solver_fail(monkeypatch):

@@ -1,7 +1,7 @@
 """Frame construction, curvature extraction, finite-difference kernels."""
 
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinrod import geometry
-from thinrod.errors import FrenetUndefined, InvalidCurve
+from thinrod.errors import FrameDrift, FrenetUndefined, InvalidCurve
 from thinrod.geometry import (
     CurveSpec,
     FrameField,
@@ -225,6 +225,44 @@ def test_min_nonadjacent_distance_memory_is_linear():
         tracemalloc.stop()
     assert peak < 16e6
     assert dmin == _dense_min_nonadjacent_distance(r)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # the CLI refuses an unknown kind first, on curve.kind
+    (CurveSpec("spiral", s0=1.0), "unknown curve kind 'spiral'"),
+    (CurveSpec("circular_arc", s0=7.0, radius=1.0), "arc length covers a full circle"),
+    (CurveSpec("helix", s0=7.0, a=1.0, b=0.0), "flat helix covers a full circle"),
+], ids=["unknown-kind", "full-arc", "full-flat-helix"])
+def test_curves_without_a_frame_are_refused(spec, message):
+    with pytest.raises(InvalidCurve, match=message):
+        build_frame(spec, 20)
+
+
+def test_transport_refuses_a_step_that_drifts_off_the_unit_sphere():
+    # the tangent turns by a right angle every half-step: one RK4 step of
+    # the transport equation moves eta far off unit length
+    tau = np.eye(3)
+    taup = 50.0 * np.roll(np.eye(3), 1, axis=1)
+    with pytest.raises(FrameDrift, match="transport step 0: renormalization"):
+        geometry._transport(tau, taup, 0.1)
+
+
+@pytest.mark.parametrize("defect", ["norm", "orthogonality", "handedness"])
+def test_validate_refuses_a_frame_that_is_not_orthonormal(defect):
+    fr = build_frame(
+        CurveSpec("helix", s0=3.0, a=1.0, b=0.5, twist="linear", twist_rate=0.6), 20
+    )
+    geometry._validate(fr)
+    bad, message = {
+        "norm": ({"tau": 1.001 * fr.tau}, r"\|tau\| deviates from 1"),
+        # eta turned by 1e-6 rad towards tau: unit, but not orthogonal
+        "orthogonality": ({"eta": np.cos(1e-6) * fr.eta + np.sin(1e-6) * fr.tau},
+                          "tau.eta = "),
+        # a left-handed frame: orthonormal, but beta = -(tau x eta)
+        "handedness": ({"beta": -fr.beta}, r"beta != tau x eta"),
+    }[defect]
+    with pytest.raises(FrameDrift, match=message):
+        geometry._validate(replace(fr, **bad))
 
 
 def test_grid_too_coarse():
