@@ -25,7 +25,9 @@ a mask file that cannot be read or parsed is an error on `section.path`):
                   "radius": float, "n": int, "center": [float, float],
                   "path": "mask-file"},
       "M_s":     int   (>= 16, default 256, grid nodes along the curve),
-      "modes":   [[n, m], ...]  (distinct; default [[1, 1]]),
+      "modes":   [[n, m], ...]  (distinct; 1 <= n <= interior section
+                                 nodes - 3, 1 <= m <= M_s - 3;
+                                 default [[1, 1]]),
       "order":   int   (default 4, expansion order N),
       "epsilon": float or [float, ...]  (required by verify/sweep),
       "solver":  {"tol": float  (> 0, default 1e-8),
@@ -56,7 +58,7 @@ import ctypes
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,18 @@ def parse_config(path) -> RunConfig:
             or nm[1] < 1
         ):
             raise ConfigError(f"modes[{k}]", "expected [n >= 1, m >= 1]")
+        # the section and reduced solves each compute one mode more, for
+        # the gap, and keep two nodes spare
+        if nm[0] > grid.n_interior - 3:
+            raise ConfigError(
+                f"modes[{k}]",
+                f"section mode n = {nm[0]} above {grid.n_interior - 3}, the "
+                f"interior section nodes ({grid.n_interior}) less 3",
+            )
+        if nm[1] > M_s - 3:
+            raise ConfigError(
+                f"modes[{k}]", f"axial mode m = {nm[1]} above M_s - 3 = {M_s - 3}"
+            )
         if (nm[0], nm[1]) in parsed_modes:
             raise ConfigError(f"modes[{k}]", f"mode {nm} is listed twice")
         parsed_modes.append((nm[0], nm[1]))
@@ -358,21 +372,6 @@ def _solve_spectrum(cfg: RunConfig):
     return solve_section(cfg.grid, count)
 
 
-def _run_mode(cfg: RunConfig, spectrum, n: int, m: int):
-    try:
-        return engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
-    except ThinRodError as e:
-        # add_note's effect, also on Python 3.10; main prints the notes
-        e.__notes__ = [
-            *getattr(e, "__notes__", []), f"while expanding mode (n={n}, m={m})"
-        ]
-        raise
-
-
-def _run_states(cfg: RunConfig, spectrum):
-    return [_run_mode(cfg, spectrum, n, m) for n, m in cfg.modes]
-
-
 def _auto_count(cfg: RunConfig, family) -> int:
     """Direct eigenpairs needed to cover the requested modes, plus guards:
     every separable rung at the thinnest eps, over all section modes, at
@@ -381,42 +380,27 @@ def _auto_count(cfg: RunConfig, family) -> int:
         return cfg.solver["count"]
     rungs = family.rungs(min(cfg.epsilons), cfg.M_s - 2)
     ladder = np.sort(rungs, axis=0)  # row n - 1 is section mode n
-    # every configured mode is a rung: the recurrence refuses m >= M_s - 2
+    # every configured mode is a rung: parse_config refuses m > M_s - 3
     top = max(ladder[n - 1, m - 1] for n, m in cfg.modes)
     return int(np.count_nonzero(rungs <= top)) + 2
 
 
-def _row_failures(eps, rep):
+def _row_failures(rows):
+    """The one rule for a failed report row: a shared match (flag
+    "pairing") and a nearest eigenvalue farther than rho each fail."""
     failures = []
-    for r in rep.rows:
+    for r in rows:
         if "pairing" in r.flags:
             failures.append(
-                {"kind": "pairing", "eps": eps, "n": r.n, "m": r.m,
+                {"kind": "pairing", "eps": r.eps, "n": r.n, "m": r.m,
                  "message": "nearest-eigenvalue matching not injective"}
             )
         if r.bound_ok is False:
             failures.append(
-                {"kind": "certificate", "eps": eps, "n": r.n, "m": r.m,
+                {"kind": "certificate", "eps": r.eps, "n": r.n, "m": r.m,
                  "message": "nearest computed eigenvalue farther than rho"}
             )
     return failures
-
-
-def _row_json(eps, r) -> dict:
-    return {
-        "eps": eps,
-        "n": r.n,
-        "m": r.m,
-        "match_index": r.match_index,
-        "lambda_direct": r.lambda_direct,
-        "lambda_partial": r.lambda_partial,
-        "abs_gap": r.abs_gap,
-        "residual_rho": r.rho,
-        "sin_angle": r.sin_angle,
-        "neighbor_gap": r.neighbor_gap,
-        "bound_ok": r.bound_ok,
-        "flags": list(r.flags),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +443,7 @@ def cmd_expand(cfg: RunConfig, out_dir) -> list:
     lines = [_EXPAND_HEADER]
     sidecar_modes = []
     for n, m in cfg.modes:
-        st = _run_mode(cfg, spectrum, n, m)
+        st = engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
         for i in range(-2, st.N - 1):
             lines.append(f"{st.n},{st.m},{i},{_f17(st.lam_i(i))}")
         k = st.n - 1
@@ -521,7 +505,10 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     except SolverFail as e:
         raise ConfigError("section.n", str(e)) from e
     spectrum = _solve_spectrum(cfg)
-    states = _run_states(cfg, spectrum)
+    states = [
+        engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
+        for n, m in cfg.modes
+    ]
     family = oracle.PencilFamily(cfg.frame, cfg.grid)
     K = _auto_count(cfg, family)
     rows, failures, window_warnings, targets = [], [], [], []
@@ -535,14 +522,14 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
             oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps!r}.mtx")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = oracle.compare(sol, states, eps)
+            eps_rows = oracle.compare(sol, states, eps)
         targets.append([eps, sol.target])
         del op, sol  # free this eps's pencil and eigenvectors before the next
         for c in caught:
             if issubclass(c.category, UnderresolvedWindow):
                 window_warnings.append(str(c.message))
-        failures.extend(_row_failures(eps, rep))
-        rows.extend(_row_json(eps, r) for r in rep.rows)
+        failures.extend(_row_failures(eps_rows))
+        rows.extend(asdict(r) for r in eps_rows)
     return {
         "eigenpairs_computed": K,
         "residual_targets": targets,
@@ -826,9 +813,7 @@ def main(argv=None) -> int:
         ]}))
         return 2
     except ThinRodError as e:
-        # the notes name the context, e.g. the mode being expanded
-        message = "; ".join([str(e), *getattr(e, "__notes__", [])])
-        failure = {"kind": type(e).__name__, "message": message}
+        failure = {"kind": type(e).__name__, "message": str(e)}
         if isinstance(e, SolverFail):
             failure["history"] = e.history
         print(json.dumps({"failures": [failure]}))

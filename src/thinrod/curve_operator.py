@@ -102,7 +102,8 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
     if np.any(gaps <= _GAP_TOL * scale):
         k = int(np.argmin(gaps))
         raise DegenerateReduced(
-            f"reduced modes {k + 1},{k + 2}: gap {lam[k + 1] - lam[k]:.3e}"
+            f"section mode {op.n}, reduced modes {k + 1},{k + 2}: "
+            f"gap {lam[k + 1] - lam[k]:.3e}"
         )
     out = []
     for k in range(count):

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,6 @@ __all__ = [
     "TransformedOperator",
     "DirectSolution",
     "CompareRow",
-    "CompareReport",
     "assemble",
     "solve_direct",
     "residual_certificate",
@@ -850,33 +850,23 @@ def residual_certificate(
 
 @dataclass
 class CompareRow:
+    """One row of the verify/sweep report; its fields are the JSON keys."""
+
+    eps: float
     n: int
     m: int
     match_index: int
     lambda_direct: float
     lambda_partial: float
     abs_gap: float
-    rho: float
+    residual_rho: float
     sin_angle: float
     neighbor_gap: float | None  # None when no other eigenvalue was computed
     bound_ok: bool | None
     flags: list = field(default_factory=list)
 
 
-@dataclass
-class CompareReport:
-    eps: float
-    rows: list
-    ambiguous: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.ambiguous and all(
-            r.bound_ok is not False for r in self.rows
-        )
-
-
-def compare(solution: DirectSolution, states, eps: float) -> CompareReport:
+def compare(solution: DirectSolution, states, eps: float) -> list[CompareRow]:
     """Pair expansion partial sums with the direct eigenpairs.
 
     Each expansion state contributes one row, in the order given: its
@@ -887,8 +877,8 @@ def compare(solution: DirectSolution, states, eps: float) -> CompareReport:
     B-norm of the partial sum's part B-orthogonal to the eigenvector over
     the partial sum's B-norm, which resolves angles far below the 1.5e-8
     at which sqrt(1 - cos^2) cancels to 0.  Non-injective
-    matching adds the flag "pairing" to every row involved and marks the
-    report ambiguous; nothing is raised, the caller decides what fails.
+    matching adds the flag "pairing", once, to every row whose match
+    another row shares; nothing is raised, the caller decides what fails.
     """
     op = solution.op
     if abs(eps - op.eps) > 0:
@@ -906,28 +896,24 @@ def compare(solution: DirectSolution, states, eps: float) -> CompareReport:
         others = np.abs(np.delete(solution.lam, j) - solution.lam[j])
         rows.append(
             CompareRow(
+                eps=float(eps),
                 n=st.n,
                 m=st.m,
                 match_index=j,
                 lambda_direct=float(solution.lam[j]),
                 lambda_partial=float(lam_p),
                 abs_gap=float(abs(solution.lam[j] - lam_p)),
-                rho=rho,
+                residual_rho=rho,
                 sin_angle=float(sin_angle),
                 neighbor_gap=float(others.min()) if others.size else None,
                 bound_ok=bound_ok,
             )
         )
-    taken: dict = {}
-    ambiguous = False
+    shared = Counter(r.match_index for r in rows)
     for r in rows:
-        if r.match_index in taken:
-            ambiguous = True
+        if shared[r.match_index] > 1:
             r.flags.append("pairing")
-            taken[r.match_index].flags.append("pairing")
-        else:
-            taken[r.match_index] = r
-    return CompareReport(eps=float(eps), rows=rows, ambiguous=ambiguous)
+    return rows
 
 
 def separable_eigenvalues(op: TransformedOperator, count: int):

@@ -13,10 +13,6 @@ class FrameDrift(ThinRodError):
     """Frame transport lost orthonormality beyond tolerance."""
 
 
-class FrenetUndefined(ThinRodError):
-    """Curvature vanishes somewhere; the Frenet frame does not exist."""
-
-
 class SolverFail(ThinRodError):
     """An eigen or linear solver missed its residual target.
 

@@ -56,14 +56,14 @@ def helix_bundle():
     frame = build_frame(HELIX_TWIST, 192)
     spectrum = solve_section(square_grid(1.0, 40, center=(0.12, -0.07)), 4)
     states = [engine.run_recurrence(frame, spectrum, 1, m, 3) for m in (1, 2, 3)]
-    reports = {}
+    rows = {}
     for eps in (0.2, 0.1, 0.05):
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 5)
-        reports[eps] = oracle.compare(sol, states, eps)
+        rows[eps] = oracle.compare(sol, states, eps)
     return {
         "states": states,
-        "reports": reports,
+        "rows": rows,
         "epsilons": (0.2, 0.1, 0.05),
         "elapsed": time.monotonic() - t_start,
     }
@@ -255,11 +255,11 @@ def _fit(eps_list, values):
 
 def test_criterion_6_convergence_exponent(helix_bundle):
     eps_list = helix_bundle["epsilons"]
-    reports = helix_bundle["reports"]
+    rows = helix_bundle["rows"]
     slopes = []
     for idx, m in enumerate((1, 2, 3)):
-        gap_slope = _fit(eps_list, [reports[e].rows[idx].abs_gap for e in eps_list])
-        rho_slope = _fit(eps_list, [reports[e].rows[idx].rho for e in eps_list])
+        gap_slope = _fit(eps_list, [rows[e][idx].abs_gap for e in eps_list])
+        rho_slope = _fit(eps_list, [rows[e][idx].residual_rho for e in eps_list])
         assert 1.5 <= gap_slope <= 2.5, (m, gap_slope)
         assert rho_slope >= 1.5, (m, rho_slope)
         slopes.append((m, gap_slope, rho_slope))
@@ -273,11 +273,12 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
     # zero tolerance: a certified window in which the distance bound fails
     # would disprove the solve, not the bound
     certified = 0
-    for eps, rep in helix_bundle["reports"].items():
-        for row in rep.rows:
-            assert row.bound_ok is not False, (eps, row.m, row.abs_gap, row.rho)
+    for eps, rows in helix_bundle["rows"].items():
+        for row in rows:
+            assert row.bound_ok is not False, (eps, row.m, row.abs_gap,
+                                               row.residual_rho)
             assert row.bound_ok is True, (eps, row.m, "window not certified")
-            assert row.abs_gap <= row.rho
+            assert row.abs_gap <= row.residual_rho
             certified += 1
 
     # independent small verifies, twisted and curved, same zero tolerance
@@ -293,26 +294,25 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
         states = [engine.run_recurrence(frame, spectrum, 1, m, 4) for m in (1, 2)]
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 4)
-        rep = oracle.compare(sol, states, eps)
-        for row in rep.rows:
+        for row in oracle.compare(sol, states, eps):
             assert row.bound_ok is True, (curve.kind, row.m)
-            assert row.abs_gap <= row.rho
+            assert row.abs_gap <= row.residual_rho
             certified += 1
     print(f"[criterion 7] PASS — {certified} certificates, zero violations")
 
 
 def test_criterion_8_ordering_and_alignment(helix_bundle):
-    rep_fine = helix_bundle["reports"][0.05]
-    rep_half = helix_bundle["reports"][0.1]
-    assert not rep_fine.ambiguous
-    matches = [row.match_index for row in rep_fine.rows]
+    rows_fine = helix_bundle["rows"][0.05]
+    rows_half = helix_bundle["rows"][0.1]
+    assert not any("pairing" in row.flags for row in rows_fine)
+    matches = [row.match_index for row in rows_fine]
     assert sorted(matches) == [0, 1, 2], matches
     min_margin = np.inf
-    for row in rep_fine.rows:
+    for row in rows_fine:
         assert row.neighbor_gap > 10.0 * row.abs_gap, (row.m, row.neighbor_gap,
                                                        row.abs_gap)
         min_margin = min(min_margin, row.neighbor_gap / row.abs_gap)
-    for fine, half in zip(rep_fine.rows, rep_half.rows):
+    for fine, half in zip(rows_fine, rows_half):
         assert fine.sin_angle < half.sin_angle, (fine.m, fine.sin_angle,
                                                  half.sin_angle)
     print(f"[criterion 8] PASS — injective pairing, neighbor margin "

@@ -1,6 +1,7 @@
 """Config parsing, command outputs, exit codes, and rerun determinism."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -340,6 +341,27 @@ def test_verify_with_one_pair_writes_strict_json(tmp_path, capsys):
     assert report["eigenpairs_computed"] == 1
     assert row["neighbor_gap"] is None
     assert row["bound_ok"] is True
+
+
+def test_verify_flags_each_row_of_a_shared_match_once(tmp_path, capsys):
+    # one computed pair for three modes: all three rows match it, and each
+    # carries one "pairing" flag and one pairing failure
+    path = write_config(
+        tmp_path,
+        {"epsilon": 0.2, "solver": {"count": 1}, "modes": [[1, 1], [1, 2], [1, 3]]},
+        base=HELIX,
+    )
+    code, payload = run_main(
+        ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    pairing = [(f["n"], f["m"]) for f in payload["failures"] if f["kind"] == "pairing"]
+    assert pairing == [(1, 1), (1, 2), (1, 3)]
+    report = json.loads((tmp_path / "thinrod_verify.json").read_text())
+    assert [row["flags"] for row in report["rows"]] == [["pairing"]] * 3
+    # a report row is a CompareRow, key for field
+    fields = [f.name for f in dataclasses.fields(cli.oracle.CompareRow)]
+    assert all(sorted(row) == sorted(fields) for row in report["rows"])
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):
@@ -884,19 +906,17 @@ def test_verify_at_the_solver_block_limit(tmp_path, capsys):
 
 
 def test_main_exit_two_names_the_mode_being_expanded(tmp_path, capsys):
-    # the recurrence refuses m = 18 at M_s 20; the failure line keeps the
-    # note naming the mode
+    # the reduced solve needs m + 1 of the 18 interior nodes at M_s 20, so
+    # m = 18 is refused at parse time, on its entry of modes
     path = write_config(tmp_path, {"epsilon": 0.2, "modes": [[1, 18]]})
     code, payload = run_main(
         ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
     )
     assert code == 2
-    (failure,) = payload["failures"]
-    assert failure["kind"] == "SolverFail"
-    assert failure["message"] == (
-        "count 18 too large for 18 interior nodes; "
-        "while expanding mode (n=1, m=18)"
-    )
+    assert payload == {"failures": [
+        {"kind": "config", "path": "modes[0]",
+         "message": "modes[0]: axial mode m = 18 above M_s - 3 = 17"}
+    ]}
 
 
 def test_main_exit_two_on_a_section_mode_beyond_the_grid(tmp_path, capsys):
@@ -906,9 +926,30 @@ def test_main_exit_two_on_a_section_mode_beyond_the_grid(tmp_path, capsys):
         ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
     )
     assert code == 2
-    (failure,) = payload["failures"]
-    assert failure["kind"] == "SolverFail"
-    assert failure["message"] == "count 71 too large for 64 interior nodes"
+    assert payload == {"failures": [
+        {"kind": "config", "path": "modes[0]",
+         "message": "modes[0]: section mode n = 70 above 61, the interior "
+                    "section nodes (64) less 3"}
+    ]}
+
+
+@pytest.mark.parametrize("mode", [[61, 1], [1, 17]])
+def test_expand_at_the_mode_bounds(tmp_path, capsys, mode):
+    # n = 64 - 3 on the 8 x 8 square and m = M_s - 3 at M_s 20 complete
+    path = write_config(tmp_path, {"modes": [mode]}, base=HELIX)
+    code, payload = run_main(
+        ["expand", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert payload == {"failures": []}
+
+
+@pytest.mark.parametrize("mode", [[62, 1], [1, 18]])
+def test_modes_one_past_the_bounds_are_refused(tmp_path, mode):
+    err = config_error(tmp_path, {"modes": [[1, 1], mode]}, base=HELIX)
+    assert err.path == "modes[1]"
+    err = config_error(tmp_path, {"modes": [mode]}, base=HELIX)
+    assert err.path == "modes[0]"
 
 
 def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):

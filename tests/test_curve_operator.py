@@ -130,5 +130,5 @@ def test_symmetric_double_well_is_degenerate():
     s = np.linspace(0.0, 3.0, 61)
     V = np.zeros(61)
     V[21:40] = 1e4  # symmetric about the middle node, 30
-    with pytest.raises(DegenerateReduced, match="reduced modes 1,2"):
+    with pytest.raises(DegenerateReduced, match="section mode 1, reduced modes 1,2"):
         solve_reduced(ReducedOperator(1, s, V), 2)

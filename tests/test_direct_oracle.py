@@ -15,6 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from thinrod import asymptotic_engine as engine
+from thinrod import cli
 from thinrod import direct_oracle
 from thinrod.cross_section import (
     build_operators,
@@ -742,10 +743,10 @@ def test_compare_straight_rod_gaps_at_machine_level():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 4)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2, 3)]
-    rep = compare(sol, states, eps)
-    assert rep.ok and not rep.ambiguous
-    assert [r.match_index for r in rep.rows] == [0, 1, 2]
-    for r in rep.rows:
+    rows = compare(sol, states, eps)
+    assert cli._row_failures(rows) == []
+    assert [r.match_index for r in rows] == [0, 1, 2]
+    for r in rows:
         assert r.abs_gap < 1e-7
         assert r.sin_angle < 1e-6
         assert r.bound_ok is True
@@ -762,11 +763,11 @@ def test_compare_curved_twisted_rod_certifies():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 5)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2)]
-    rep = compare(sol, states, eps)
-    assert rep.ok and not rep.ambiguous
-    for r in rep.rows:
+    rows = compare(sol, states, eps)
+    assert cli._row_failures(rows) == []
+    for r in rows:
         assert r.bound_ok is True  # nearest-distance bound, zero tolerance
-        assert r.abs_gap <= r.rho
+        assert r.abs_gap <= r.residual_rho
         assert r.abs_gap < 1.0
         assert r.sin_angle < 0.05
 
@@ -782,8 +783,7 @@ def test_compare_twisted_straight_rod_small_gap():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=6)
-    rep = compare(sol, [st], eps)
-    row = rep.rows[0]
+    (row,) = compare(sol, [st], eps)
     assert row.abs_gap < 1e-4
     assert row.bound_ok is True
 
@@ -803,7 +803,7 @@ def test_compare_resolves_angles_below_the_cosine_floor():
     for eps in (0.1, 0.05, 0.025):
         op = assemble(fr, spec.grid, eps)
         sol = solve_direct(op, 3)
-        (row,) = compare(sol, [st], eps).rows
+        (row,) = compare(sol, [st], eps)
         angles.append(row.sin_angle)
     assert 0.0 < angles[2] < angles[1] < angles[0], angles
     v = to_vector(op, engine.partial_sums(st, eps)[1])
@@ -819,9 +819,25 @@ def test_compare_flags_ambiguous_pairing():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=2)
-    rep = compare(sol, [st, st], eps)
-    assert rep.ambiguous and not rep.ok
-    assert all("pairing" in r.flags for r in rep.rows)
+    rows = compare(sol, [st, st], eps)
+    assert any("pairing" in r.flags for r in rows)
+    assert cli._row_failures(rows) != []
+    assert all("pairing" in r.flags for r in rows)
+
+
+def test_compare_flags_a_shared_match_once_per_row():
+    # three rows share one match: each carries the flag once, however many
+    # other rows share it
+    fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
+    spec = _square(n=10)
+    eps = 0.2
+    op = assemble(fr, spec.grid, eps)
+    sol = solve_direct(op, 3)
+    st = engine.run_recurrence(fr, spec, 1, 1, N=2)
+    rows = compare(sol, [st, st, st], eps)
+    assert [r.match_index for r in rows] == [0, 0, 0]
+    assert [r.flags for r in rows] == [["pairing"]] * 3
+    assert [f["kind"] for f in cli._row_failures(rows)] == ["pairing"] * 3
 
 
 def test_compare_rejects_mismatched_epsilon():

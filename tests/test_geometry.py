@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinrod import geometry
-from thinrod.errors import FrameDrift, FrenetUndefined, InvalidCurve
+from thinrod.errors import FrameDrift, InvalidCurve, ThinRodError
 from thinrod.geometry import (
     CurveSpec,
     FrameField,
@@ -41,6 +41,10 @@ def frame_ode_residual(frame: FrameField) -> float:
     r2 = etap - (-k1 * frame.tau + k3 * frame.beta)
     r3 = betap - (k2 * frame.tau - k3 * frame.eta)
     return float(max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max()))
+
+
+class FrenetUndefined(ThinRodError):
+    """Curvature vanishes somewhere; the Frenet frame does not exist."""
 
 
 @dataclass(frozen=True)
