@@ -25,9 +25,12 @@ at O(h^2).
 
 section_basis is the one eigenbasis of S: closed-form sines on a full
 rectangular mask (S is then a Kronecker sum of 1D Dirichlet second
-differences), a dense eigh, limited to _SPECTRAL_CUTOFF interior nodes,
-on any other.  The direct solver's preconditioner, start block and rungs
-read it, and so does the sine resolvent of the expansion's section solves.
+differences), on any other a dense eigh per parity block of the mask's
+mirror symmetries (S depends on the mask alone, so it commutes with every
+reflection that maps the mask onto itself), the blocks limited to as many
+entries as one of _SPECTRAL_CUTOFF interior nodes.  The direct solver's
+preconditioner, start block and rungs read it, and so does the sine
+resolvent of the expansion's section solves.
 
 deflated_solve is the one deflated solve, shared by the section resolvent
 here and the reduced resolvent of curve_operator: a solvability check and
@@ -39,6 +42,7 @@ and a bordered sparse LU everywhere else.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,8 +112,13 @@ def disk_grid(radius: float, n: int, center=(0.0, 0.0)) -> SectionGrid:
         raise ConfigError("section", "disk needs radius > 0 and n >= 7")
     h = 2 * radius / (n + 1)
     x = -radius + h * (1 + np.arange(n))
-    X2, X3 = np.meshgrid(x, x, indexing="ij")
-    mask = X2**2 + X3**2 < radius**2
+    # node i lies at radius k_i / (n + 1): the inside test on the integers
+    # k_i is exact, so nodes on the circle are out and the mask keeps the
+    # disk's mirror symmetries, which a floating-point test breaks by
+    # rounding some on-circle nodes in and their mirrors out (4 of 8 at
+    # n = 101)
+    k = 2 * np.arange(n) - (n - 1)
+    mask = k[:, None] ** 2 + k[None, :] ** 2 < (n + 1) ** 2
     return _finish_grid("disk", h, mask, x + center[0], x + center[1])
 
 
@@ -381,19 +390,77 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
-# Non-rectangular sections up to this many interior nodes get a dense
-# eigenbasis (its eigh costs O(n_interior^3) time and O(n_interior^2)
-# memory); a full rectangular mask needs none.
+# A non-rectangular section gets a dense eigenbasis, one block per mirror
+# parity, whose blocks may hold as many entries as one of this many nodes:
+# sum(block^2) <= _SPECTRAL_CUTOFF^2 (each block's eigh costs O(block^3)
+# time and O(block^2) memory); a full rectangular mask needs none.
 _SPECTRAL_CUTOFF = 4096
 
 
-def _check_section_size(grid: SectionGrid):
-    """Raise SolverFail if the section would need a dense basis above
-    _SPECTRAL_CUTOFF interior nodes: a non-rectangular mask."""
+def _parity_basis(grid: SectionGrid):
+    """(Q, sizes): the orthogonal basis of the mask's mirror parities and
+    the size of each parity block.
+
+    A reflection of a mask axis that maps the mask onto itself permutes
+    the interior nodes and commutes with S, which depends on the mask
+    alone, so S is block diagonal in a basis of vectors even or odd under
+    each such reflection (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
+    1986).  With G the group the symmetric reflections generate (1, 2 or
+    4 elements), column (p, x) of Q is the sum of chi_p(g) e_{g x} over g
+    in G, normalized, for each parity p (a character of G: odd under the
+    reflections of the set bits of p) and each orbit representative x
+    (its smallest node).  The column vanishes, and is left out, when chi_p
+    is odd under a reflection that fixes x, which only a node on a mirror
+    axis has.  Entries are +-1/2 (orbits of four nodes), +-1/sqrt(2) (of
+    two) or 1 (a node fixed by G).  Columns run block by block, in the
+    order of p, so parity 0, even under every reflection, comes first,
+    and by representative within a block; a mask with no mirror symmetry
+    has one block and Q = I.
+    """
+    n = grid.n_interior
+    maps = [np.arange(n)]  # node map j applies the mirrors of the bits of j
+    for ax in (0, 1):
+        if np.array_equal(np.flip(grid.mask, ax), grid.mask):
+            mirror = np.flip(grid.idx, ax)[grid.mask]
+            maps += [mirror[g] for g in maps]
+    rep = np.flatnonzero(np.minimum.reduce(maps) == np.arange(n))
+    blocks = []
+    for parity in range(len(maps)):  # odd under the mirrors of its bits
+        chi = [(-1.0) ** bin(j & parity).count("1") for j in range(len(maps))]
+        col = sp.csc_matrix(
+            (np.repeat(chi, rep.size),
+             (np.concatenate([g[rep] for g in maps]),
+              np.tile(np.arange(rep.size), len(maps)))),
+            shape=(n, rep.size),
+        )  # duplicates summed: +-|stabilizer| on the orbit, or all 0
+        col.eliminate_zeros()
+        col = col[:, np.flatnonzero(np.diff(col.indptr))]
+        orbit = np.diff(col.indptr)
+        col.data = np.sign(col.data) * np.sqrt(1.0 / np.repeat(orbit, orbit))
+        blocks.append(col)
+    return sp.hstack(blocks, format="csr"), [b.shape[1] for b in blocks]
+
+
+def _check_section_size(grid: SectionGrid, sizes=None):
+    """Raise SolverFail if a non-rectangular mask's dense section
+    eigenbasis would hold more entries than one of _SPECTRAL_CUTOFF nodes:
+    the squares of its parity block sizes (from :func:`_parity_basis`
+    unless given) sum above _SPECTRAL_CUTOFF^2.  A mask with no mirror
+    symmetry is one block, so it is refused above _SPECTRAL_CUTOFF
+    interior nodes."""
+    if grid.mask.all():
+        return
     nw = grid.n_interior
-    if not grid.mask.all() and nw > _SPECTRAL_CUTOFF:
+    sizes = _parity_basis(grid)[1] if sizes is None else sizes
+    entries = sum(b * b for b in sizes)
+    if entries > _SPECTRAL_CUTOFF**2:
+        blocks = "" if len(sizes) == 1 else (
+            f" in mirror-parity blocks of {', '.join(map(str, sizes))}, whose "
+            "dense eigenbases hold as many entries as one of "
+            f"{math.isqrt(entries - 1) + 1} nodes"
+        )
         raise SolverFail(
-            f"section has {nw} interior nodes, above the limit of "
+            f"section has {nw} interior nodes{blocks}, above the limit of "
             f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis the direct "
             "solve needs on a non-rectangular section; lower section.n"
         )
@@ -429,6 +496,31 @@ class _SineProducts:
         return (V.reshape(r * n2, n3) @ self.sine3(V.dtype)).reshape(r, n2 * n3)
 
 
+class _ParityProducts:
+    """The eigenbasis Q blockdiag(Phi_b) of a non-rectangular mask and its
+    transpose on a column stack (n_interior, cols), in the dtype of the
+    stack: the sparse parity basis Q of :func:`_parity_basis` and one dense
+    product per parity block, each written into its rows of the result."""
+
+    def __init__(self, Q, rows, Phi):
+        self.Q, self.QT = _cast_once(Q), _cast_once(Q.T.tocsr())
+        self.rows, self.Phi = rows, [_cast_once(V) for V in Phi]
+
+    def to_modes(self, U):
+        V = self.QT(U.dtype) @ U
+        out = np.empty_like(V)
+        for rows, Phi in zip(self.rows, self.Phi):
+            # a transposed view multiplies without a copy
+            np.matmul(Phi(U.dtype).T, V[rows], out=out[rows])
+        return out
+
+    def from_modes(self, U):
+        V = np.empty_like(U)
+        for rows, Phi in zip(self.rows, self.Phi):
+            np.matmul(Phi(U.dtype), U[rows], out=V[rows])
+        return self.Q(U.dtype) @ V
+
+
 def section_basis(grid: SectionGrid):
     """(lam_sec, to_modes, from_modes) of S: its eigenvalues and the
     products of a column stack (n_interior, cols) with the transposed
@@ -441,11 +533,20 @@ def section_basis(grid: SectionGrid):
     (unsorted), and both products are one map, sine2 (x) sine3, symmetric
     and its own inverse (fast diagonalization: Lynch, Rice & Thomas,
     Numer. Math. 6, 1964), a :class:`_SineProducts` that also takes row
-    stacks.  Any other mask gets a dense eigenbasis, ascending, from
-    LAPACK's divide-and-conquer eigh (driver "evd", several times faster
-    than the default MRRR driver on the section Laplacian's clustered
-    spectrum), above _SPECTRAL_CUTOFF nodes refused by
-    :func:`_check_section_size`.
+    stacks.  Any other mask gets a dense eigenbasis split by the mask's
+    mirror symmetries: Q blockdiag(Phi_b), with Q the sparse orthogonal
+    parity basis of :func:`_parity_basis` and Phi_b the eigenvectors of
+    the parity block Q_b^T S Q_b, one per block, from LAPACK's
+    divide-and-conquer eigh (driver "evd", several times faster than the
+    default MRRR driver on the section Laplacian's clustered spectrum).
+    lam_sec runs block by block, ascending within each, and the products
+    are the sparse Q (or Q^T) around one dense product per block, a
+    :class:`_ParityProducts`.  On a disk the four blocks make the eighs
+    16 times and the products 4 times cheaper than one dense eigh of S
+    (484 x 484 on a 24-node disk, 121 x 121 per block); a mask with no
+    mirror symmetry is one block, Q = I, and gets that dense eigh.  The
+    inverse stays exact.  Blocks whose squares sum above
+    _SPECTRAL_CUTOFF^2 are refused by :func:`_check_section_size`.
 
     The products are computed in the dtype of their input.  The basis is
     built in float64, and a float64 stack is multiplied by it as it is; the
@@ -455,10 +556,16 @@ def section_basis(grid: SectionGrid):
     never makes them.
     """
     if not grid.mask.all():
-        _check_section_size(grid)
-        lam_sec, Phi = scipy.linalg.eigh(laplacian(grid).toarray(), driver="evd")
-        Phi = _cast_once(Phi)  # a transposed view multiplies without a copy
-        return lam_sec, lambda U: Phi(U.dtype).T @ U, lambda U: Phi(U.dtype) @ U
+        Q, sizes = _parity_basis(grid)
+        _check_section_size(grid, sizes)
+        A = (Q.T @ laplacian(grid) @ Q).tocsr()
+        edges = np.cumsum([0, *sizes])
+        rows = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        lam_sec, Phi = zip(*(
+            scipy.linalg.eigh(A[r, r].toarray(), driver="evd") for r in rows
+        ))
+        products = _ParityProducts(Q, rows, Phi)
+        return np.concatenate(lam_sec), products.to_modes, products.from_modes
     n2, n3 = grid.mask.shape
     lam_sec = (
         _dirichlet_eigenvalues(grid.h, (n2 + 1) * grid.h, n2)[:, None]

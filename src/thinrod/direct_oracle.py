@@ -47,8 +47,10 @@ from the start block and is preconditioned by the exact shifted inverse of
 the separable part (applied as matrix products, in float32; everything
 else in the solve is float64).  The section eigenbasis is
 :func:`thinrod.cross_section.section_basis`: two sine transforms with
-closed-form eigenvalues on a full rectangular mask, a dense eigh on any
-other, which refuses a section of more than 4096 interior nodes (the CLI
+closed-form eigenvalues on a full rectangular mask, on any other a dense
+eigh per parity block of the mask's mirror symmetries, which refuses a
+section whose blocks' squares sum above 4096^2 (a mask with no mirror
+symmetry above 4096 interior nodes, a disk above section.n 101; the CLI
 runs the same check first).
 
 One residual serves the stop test, the acceptance, the window edge and the
@@ -746,9 +748,9 @@ def solve_direct(
     value minus its rho: an unconverged guard only lowers it.  SolverFail
     is also raised for a start block of fewer than nb independent columns,
     for a ground eigenvalue that is not simple (K >= 2), and, before any
-    iteration, for a non-rectangular section above
-    cross_section._SPECTRAL_CUTOFF nodes, when the preconditioner reads the
-    section basis.
+    iteration, for a non-rectangular section whose parity blocks' squares
+    sum above cross_section._SPECTRAL_CUTOFF^2, when the preconditioner
+    reads the section basis.
 
     The history has one entry: `stage` (always "lobpcg"), `preconditioner`
     (always "separable"), `iterations` (preconditioned steps, each one
@@ -821,8 +823,11 @@ def residual_certificate(
     for psi a full-grid field or an unknown vector.  Some eigenvalue of the
     pencil lies within rho of lam_val; when `solution` is given and
     lam_val + rho sits below its certified window edge, bound_check states
-    whether the nearest *computed* eigenvalue realizes that distance.
-    Outside the window the check is skipped (bound_check None) with an
+    whether the nearest *computed* eigenvalue realizes that distance.  The
+    nearest is taken over the K requested eigenvalues and the guard Ritz
+    values above them (`ritz_all[K:]`), which set the window edge.  Outside
+    the window, or when the nearest value is a guard, which the solve
+    does not certify, the check is skipped (bound_check None) with an
     UnderresolvedWindow warning.
     """
     v = np.asarray(psi, dtype=float)
@@ -844,8 +849,19 @@ def residual_certificate(
             )
         )
         return rho, None
-    dist = float(np.abs(solution.lam - lam_val).min())
-    return rho, bool(dist <= rho)
+    K = solution.lam.size
+    computed = np.concatenate([solution.lam, solution.ritz_all[K:]])
+    j = int(np.argmin(np.abs(computed - lam_val)))
+    if j >= K:
+        warnings.warn(
+            UnderresolvedWindow(
+                f"candidate {lam_val:.6g} lies nearest the guard value "
+                f"{computed[j]:.6g}, above the {K} requested eigenpairs; "
+                "raise solver.count to certify"
+            )
+        )
+        return rho, None
+    return rho, bool(abs(computed[j] - lam_val) <= rho)
 
 
 @dataclass

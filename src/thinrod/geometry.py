@@ -295,6 +295,11 @@ def build_frame(spec: CurveSpec, M_s: int) -> FrameField:
     beta = np.cross(tau, eta)
 
     k1, k2, k3 = _curvatures(tau, eta, beta, h)
+    if spec.twist == "none":
+        # the rotation-minimizing frame does not turn about tau: kappa3 is
+        # exactly 0, and its finite-difference value (7.6e-7 on a helix at
+        # M_s 64) is transport residue that would put R terms in H
+        k3 = np.zeros_like(k3)
     k3p = diff4(k3, h)
 
     frame = FrameField(s, r, tau, eta, beta, k1, k2, k3, k3p, alpha)

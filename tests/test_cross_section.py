@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import jn_zeros
 
-from thinrod import cross_section
+from thinrod import cross_section, direct_oracle
 from thinrod.cross_section import (
     SectionSpectrum,
     _component_count,
@@ -32,6 +32,7 @@ from thinrod.errors import (
     SolvabilityViolation,
     SolverFail,
 )
+from thinrod.geometry import CurveSpec, build_frame
 
 C1_SQUARE = np.pi**2 / 6 - 1.5  # |R phi_1|^2 for the centered unit square,
 # from the separable integrals of phi_1 = 2 cos(pi xi2) cos(pi xi3):
@@ -287,6 +288,128 @@ def test_section_basis_products_follow_the_dtype_of_their_input(kind):
             assert np.abs(to_modes.rows(rows) - modes.T).max() <= (
                 1e-6 if rows.dtype == np.float32 else 1e-15
             ) * np.abs(modes).max()
+
+
+def _stair_mask(mirrored: bool):
+    """A 9 x 12 staircase, left-aligned, row i of width 12 - |i - 4| (even
+    under the mirror of axis 0 alone, row 4 on its axis) or 12 - i (no
+    mirror symmetry)."""
+    widths = [12 - (abs(i - 4) if mirrored else i) for i in range(9)]
+    mask = np.arange(12)[None, :] < np.array(widths)[:, None]
+    x2, x3 = 0.1 * (np.arange(9) - 4.0), 0.1 * (np.arange(12) - 5.5)
+    return _finish_grid("mask", 0.1, mask, x2, x3)
+
+
+# every kind of mirror symmetry: both mirrors with nodes on their axes
+# (disk n 9: orbits of one, two and four nodes), both without (disk n 10,
+# and n 24, the benchmark's, whose one 484 x 484 eigh becomes four of 121),
+# one mirror with a row on its axis, and none
+PARITY_GRIDS = {
+    "disk9": (lambda: disk_grid(0.5, 9), [22, 17, 17, 13]),
+    "disk10": (lambda: disk_grid(0.5, 10), [22, 22, 22, 22]),
+    "disk24": (lambda: disk_grid(0.5, 24), [121, 121, 121, 121]),
+    "one_mirror": (lambda: _stair_mask(True), [50, 38]),
+    "no_mirror": (lambda: _stair_mask(False), [72]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_parity_basis_is_orthonormal_and_block_diagonalizes_s(kind):
+    make, sizes = PARITY_GRIDS[kind]
+    grid = make()
+    Q, got = cross_section._parity_basis(grid)
+    assert got == sizes and sum(sizes) == grid.n_interior
+    Qd = Q.toarray()
+    assert np.abs(Qd.T @ Qd - np.eye(grid.n_interior)).max() <= 1e-15
+    assert set(np.abs(Q.data)) <= {0.5, np.sqrt(0.5), 1.0}
+    A = Qd.T @ laplacian(grid).toarray() @ Qd
+    edges = np.cumsum([0, *sizes])
+    for a, b in zip(edges[:-1], edges[1:]):
+        A[a:b, a:b] = 0.0
+    assert np.abs(A).max() <= 1e-12 * np.abs(laplacian(grid).data).max()
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_parity_section_basis_matches_one_dense_eigh(kind, monkeypatch):
+    # one eigh per parity block; together their eigenvalues are a dense
+    # eigh's, and the products diagonalize S and invert each other
+    make, sizes = PARITY_GRIDS[kind]
+    grid = make()
+    calls = []
+    eigh = cross_section.scipy.linalg.eigh
+
+    def counting(A, **kwargs):
+        calls.append(A.shape)
+        return eigh(A, **kwargs)
+
+    monkeypatch.setattr(cross_section.scipy.linalg, "eigh", counting)
+    lam_sec, to_modes, from_modes = section_basis(grid)
+    assert calls == [(b, b) for b in sizes]
+    S = laplacian(grid)
+    ref = np.linalg.eigvalsh(S.toarray())
+    assert np.abs(np.sort(lam_sec) - ref).max() <= 1e-12 * ref.max()
+    U = np.cos(0.37 * np.arange(grid.n_interior * 5)).reshape(-1, 5)
+    modes = to_modes(U)
+    assert np.abs(to_modes(S @ U) - lam_sec[:, None] * modes).max() <= (
+        1e-12 * lam_sec.max() * np.abs(modes).max()
+    )
+    assert np.abs(from_modes(modes) - U).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_parity_preconditioner_equals_the_dense_eigenbasis_one(kind):
+    # the separable preconditioner is the exact shifted inverse whatever
+    # eigenbasis it is built from: in float64 the parity blocks give that
+    # of one dense eigh of S
+    grid = PARITY_GRIDS[kind][0]()
+    frame = build_frame(CurveSpec("helix", s0=3.0, a=1.0, b=0.5,
+                                  twist="linear", twist_rate=0.6), 20)
+    family = direct_oracle.PencilFamily(frame, grid)
+    op = family.assemble(0.1)
+    X = np.cos(0.37 * np.arange(op.n * 3)).reshape(-1, 3)
+    parity = direct_oracle._separable_preconditioner(op)(X)
+    lam, Phi = np.linalg.eigh(laplacian(grid).toarray())
+    family.section_basis = (lam, lambda U: Phi.T @ U, lambda U: Phi @ U)
+    dense = direct_oracle._separable_preconditioner(op)(X)
+    assert np.abs(parity - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_section_size_limit_counts_the_parity_blocks():
+    # sum(block^2) <= 4096^2: a disk is accepted up to section.n 101 and
+    # refused at 102, a mask with no mirror symmetry above 4096 nodes, with
+    # the message of a single dense basis
+    assert disk_grid(0.5, 101).n_interior == 8161
+    cross_section._check_section_size(disk_grid(0.5, 101))
+    with pytest.raises(SolverFail, match=(
+        r"^section has 8304 interior nodes in mirror-parity blocks of 2076, "
+        r"2076, 2076, 2076, whose dense eigenbases hold as many entries as "
+        r"one of 4152 nodes, above the limit of 4096 .*; lower section\.n$"
+    )):
+        cross_section._check_section_size(disk_grid(0.5, 102))
+    mask = np.ones((65, 65), dtype=bool)
+    mask[0, 0] = False
+    x = 0.01 * np.arange(65.0)
+    asymmetric = _finish_grid("mask", 0.01, mask.copy(), x, x)
+    assert cross_section._parity_basis(asymmetric)[1] == [4224]
+    with pytest.raises(SolverFail) as exc:
+        cross_section._check_section_size(asymmetric)
+    assert str(exc.value) == (
+        "section has 4224 interior nodes, above the limit of 4096 for the "
+        "dense section eigenbasis the direct solve needs on a non-rectangular "
+        "section; lower section.n"
+    )
+    mask[0, -1] = mask[-1, 0] = mask[-1, -1] = False
+    cross_section._check_section_size(_finish_grid("mask", 0.01, mask, x, x))
+
+
+def test_disk_mask_is_exact_on_the_circle():
+    # nodes on the circle are out, so every disk keeps both mirrors and the
+    # diagonal one; at n 101 floating point put 4 of its 8 on-circle nodes in
+    for n in (9, 33, 57, 101, 102):
+        mask = disk_grid(0.5, n).mask
+        assert np.array_equal(mask, mask[::-1])
+        assert np.array_equal(mask, mask[:, ::-1])
+        assert np.array_equal(mask, mask.T)
 
 
 def test_cast_once_keeps_its_own_dtype_and_one_copy_of_another():

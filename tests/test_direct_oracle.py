@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from thinrod import asymptotic_engine as engine
 from thinrod import cli
+from thinrod import cross_section
 from thinrod import direct_oracle
 from thinrod.cross_section import (
     build_operators,
@@ -143,6 +144,17 @@ def test_family_matches_the_kronecker_assembly(rod):
     scale = np.abs(ref.data).max()
     assert np.abs(op.H.data - ref.data).max() <= 8 * np.finfo(float).eps * scale
     assert operator_checks(op)["symmetry_defect"] == 0.0
+
+
+def test_untwisted_helix_pencil_has_no_twist_entries():
+    # twist "none" gives kappa3 exactly 0, so H holds the section
+    # Laplacian's pattern in each slab and the identity between slabs, and
+    # no entry of the angular derivative R
+    fr = build_frame(CurveSpec("helix", s0=3.0, a=1.0, b=0.5), 20)
+    grid = square_grid(1.0, 10, center=(0.12, -0.07))
+    op = assemble(fr, grid, 0.2)
+    ms, nw = fr.s_grid.size - 2, grid.n_interior
+    assert op.H.nnz == ms * laplacian(grid).nnz + 2 * (ms - 1) * nw
 
 
 def test_family_fills_each_eps_as_a_one_off_assembly():
@@ -357,13 +369,22 @@ def _count_eigh(monkeypatch):
     return calls
 
 
+def _parity_eighs(grid):
+    """The eighs of a disk's section basis: one per mirror-parity block, in
+    block order, four blocks whose sizes sum to n_omega."""
+    sizes = cross_section._parity_basis(grid)[1]
+    assert len(sizes) == 4 and sum(sizes) == grid.n_interior
+    return [(b, b) for b in sizes]
+
+
 @pytest.mark.parametrize("section", ["square", "disk"])
 def test_straight_untwisted_solve_never_applies_the_preconditioner(
     monkeypatch, section
 ):
     # the start block is columns of the separable eigenbasis, exact on a
     # straight untwisted rod, so LOBPCG never applies the preconditioner;
-    # the square's basis is closed-form, the disk's one dense eigh
+    # the square's basis is closed-form, the disk's one dense eigh per
+    # mirror-parity block
     calls = _count_eigh(monkeypatch)
     fr = build_frame(CurveSpec("straight", s0=np.pi), 20)
     grid = square_grid(1.0, 10) if section == "square" else disk_grid(0.5, 12)
@@ -371,17 +392,18 @@ def test_straight_untwisted_solve_never_applies_the_preconditioner(
     sol = solve_direct(op, 3)
     assert [h["stage"] for h in sol.history] == ["lobpcg"]
     assert sol.history[0]["iterations"] == 0
-    assert calls == ([] if section == "square" else [(op.n_omega, op.n_omega)])
+    assert calls == ([] if section == "square" else _parity_eighs(grid))
     assert np.all(sol.residuals <= sol.target)
 
 
 def test_curved_solve_builds_section_basis_once(monkeypatch):
-    # a disk section needs the dense eigenbasis, built once per family
+    # a disk section needs the dense eigenbasis, built once per family:
+    # one eigh per mirror-parity block
     calls = _count_eigh(monkeypatch)
     op = _helix_op(eps=0.2, n=10, M_s=20, kind="disk")
     sol = solve_direct(op, 3)
     assert sol.history[0]["iterations"] > 0
-    assert calls == [(op.n_omega, op.n_omega)]
+    assert calls == _parity_eighs(op.grid)
 
 
 def test_disk_family_solves_three_eps_with_one_basis_and_no_section_solve(
@@ -403,7 +425,7 @@ def test_disk_family_solves_three_eps_with_one_basis_and_no_section_solve(
     for eps in (0.2, 0.1, 0.05):
         op = family.assemble(eps)
         assert solve_direct(op, 3).history[0]["iterations"] > 0
-    assert eighs == [(op.n_omega, op.n_omega)]
+    assert eighs == _parity_eighs(op.grid)
     assert sections == []
 
 
