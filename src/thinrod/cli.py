@@ -522,7 +522,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
             oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps!r}.mtx")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            eps_rows = oracle.compare(sol, states, eps)
+            eps_rows = oracle.compare(sol, states)
         targets.append([eps, sol.target])
         del op, sol  # free this eps's pencil and eigenvectors before the next
         for c in caught:

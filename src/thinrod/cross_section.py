@@ -25,10 +25,10 @@ at O(h^2).
 
 section_basis is the one eigenbasis of S: closed-form sines on a full
 rectangular mask (S is then a Kronecker sum of 1D Dirichlet second
-differences), on any other a dense eigh per parity block of the mask's
-mirror symmetries (S depends on the mask alone, so it commutes with every
-reflection that maps the mask onto itself), the blocks limited to as many
-entries as one of _SPECTRAL_CUTOFF interior nodes.  The direct solver's
+differences), on any other numpy's dense eigh per parity block of the
+mask's mirror symmetries (S depends on the mask alone, so it commutes with
+every reflection that maps the mask onto itself), the blocks limited to as
+many entries as one of _SPECTRAL_CUTOFF interior nodes.  The direct solver's
 preconditioner, start block and rungs read it, and so does the sine
 resolvent of the expansion's section solves.
 
@@ -48,10 +48,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
-# after scipy.sparse on purpose: imported first, it made `import thinrod.cli`
-# about 15% slower (median of 24 imports each, 2-core machine)
-import scipy.linalg
 
 from .errors import ConfigError, MultipleEigenvalue, SolvabilityViolation, SolverFail
 
@@ -536,9 +534,9 @@ def section_basis(grid: SectionGrid):
     stacks.  Any other mask gets a dense eigenbasis split by the mask's
     mirror symmetries: Q blockdiag(Phi_b), with Q the sparse orthogonal
     parity basis of :func:`_parity_basis` and Phi_b the eigenvectors of
-    the parity block Q_b^T S Q_b, one per block, from LAPACK's
-    divide-and-conquer eigh (driver "evd", several times faster than the
-    default MRRR driver on the section Laplacian's clustered spectrum).
+    the parity block Q_b^T S Q_b, one per block, from numpy's eigh
+    (LAPACK's divide-and-conquer syevd, the package's one dense symmetric
+    eigensolver, which the direct solver's Rayleigh-Ritz step calls too).
     lam_sec runs block by block, ascending within each, and the products
     are the sparse Q (or Q^T) around one dense product per block, a
     :class:`_ParityProducts`.  On a disk the four blocks make the eighs
@@ -561,9 +559,7 @@ def section_basis(grid: SectionGrid):
         A = (Q.T @ laplacian(grid) @ Q).tocsr()
         edges = np.cumsum([0, *sizes])
         rows = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        lam_sec, Phi = zip(*(
-            scipy.linalg.eigh(A[r, r].toarray(), driver="evd") for r in rows
-        ))
+        lam_sec, Phi = zip(*(eigh(A[r, r].toarray()) for r in rows))
         products = _ParityProducts(Q, rows, Phi)
         return np.concatenate(lam_sec), products.to_modes, products.from_modes
     n2, n3 = grid.mask.shape

@@ -882,24 +882,22 @@ class CompareRow:
     flags: list = field(default_factory=list)
 
 
-def compare(solution: DirectSolution, states, eps: float) -> list[CompareRow]:
+def compare(solution: DirectSolution, states) -> list[CompareRow]:
     """Pair expansion partial sums with the direct eigenpairs.
 
     Each expansion state contributes one row, in the order given: its
-    partial sum at `eps` is matched to the nearest computed eigenvalue, the
-    eigenfunction alignment is measured as sin of the B-weighted angle, and
-    the residual certificate is evaluated (it warns UnderresolvedWindow
-    when the computed window cannot certify the row).  The sine is the
-    B-norm of the partial sum's part B-orthogonal to the eigenvector over
-    the partial sum's B-norm, which resolves angles far below the 1.5e-8
-    at which sqrt(1 - cos^2) cancels to 0.  Non-injective
+    partial sum at the operator's eps is matched to the nearest computed
+    eigenvalue, the eigenfunction alignment is measured as sin of the
+    B-weighted angle, and the residual certificate is evaluated (it warns
+    UnderresolvedWindow when the computed window cannot certify the row).
+    The sine is the B-norm of the partial sum's part B-orthogonal to the
+    eigenvector over the partial sum's B-norm, which resolves angles far
+    below the 1.5e-8 at which sqrt(1 - cos^2) cancels to 0.  Non-injective
     matching adds the flag "pairing", once, to every row whose match
     another row shares; nothing is raised, the caller decides what fails.
     """
     op = solution.op
-    if abs(eps - op.eps) > 0:
-        raise ValueError(f"states evaluated at eps = {eps}, operator at {op.eps}")
-    Bd = op.B
+    eps, Bd = op.eps, op.B
     rows = []
     for st in states:
         lam_p, psi_p = engine.partial_sums(st, eps)

@@ -60,7 +60,7 @@ def helix_bundle():
     for eps in (0.2, 0.1, 0.05):
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 5)
-        rows[eps] = oracle.compare(sol, states, eps)
+        rows[eps] = oracle.compare(sol, states)
     return {
         "states": states,
         "rows": rows,
@@ -294,7 +294,7 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
         states = [engine.run_recurrence(frame, spectrum, 1, m, 4) for m in (1, 2)]
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 4)
-        for row in oracle.compare(sol, states, eps):
+        for row in oracle.compare(sol, states):
             assert row.bound_ok is True, (curve.kind, row.m)
             assert row.abs_gap <= row.residual_rho
             certified += 1

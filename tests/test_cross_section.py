@@ -1,6 +1,8 @@
 """Section eigenproblem, rotational coefficient, deflated resolvent."""
 
-import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,13 +338,13 @@ def test_parity_section_basis_matches_one_dense_eigh(kind, monkeypatch):
     make, sizes = PARITY_GRIDS[kind]
     grid = make()
     calls = []
-    eigh = cross_section.scipy.linalg.eigh
+    eigh = cross_section.eigh
 
-    def counting(A, **kwargs):
+    def counting(A):
         calls.append(A.shape)
-        return eigh(A, **kwargs)
+        return eigh(A)
 
-    monkeypatch.setattr(cross_section.scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(cross_section, "eigh", counting)
     lam_sec, to_modes, from_modes = section_basis(grid)
     assert calls == [(b, b) for b in sizes]
     S = laplacian(grid)
@@ -537,14 +539,25 @@ def test_square_spectrum_properties(n, side):
     assert abs(s.lam[0] - lam_exact) < 1e-9 * lam_exact
 
 
-def test_scipy_linalg_is_imported_after_scipy_sparse():
-    # imported first (isort's order), scipy.linalg made `import thinrod.cli`
+# sys.modules holds each module from the start of its loading on, in order
+IMPORT_ORDER_SCRIPT = """
+import sys
+import thinrod.cli
+order = list(sys.modules)
+print(order.index("scipy.sparse"), order.index("scipy.linalg"))
+"""
+
+
+def test_scipy_linalg_is_imported_after_scipy_sparse(tmp_path):
+    # loaded first (isort's order), scipy.linalg made `import thinrod.cli`
     # about 15% slower, which every run pays in its start-up
-    tree = ast.parse(Path(cross_section.__file__).read_text())
-    line = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            line.update((alias.name, node.lineno) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            line[node.module] = node.lineno
-    assert line["scipy.linalg"] > max(line["scipy.sparse"], line["scipy.sparse.linalg"])
+    env = dict(os.environ)
+    src = str(Path(cross_section.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ORDER_SCRIPT],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sparse, linalg = map(int, proc.stdout.split())
+    assert sparse < linalg
