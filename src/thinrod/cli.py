@@ -36,7 +36,8 @@ a mask file that cannot be read or parsed is an error on `section.path`):
                                  of the unknowns less 3; default 0 = auto)},
       "output":  {"prefix": str  (default "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
-      "thresholds": {"slope_min": float  (default order - 1.5),
+      "thresholds": {"slope_min": float  (default order - 1.5, at most
+                                      slope_max),
                      "slope_max": float  (default order - 0.5),
                      "rho_slope_min": float  (default 1.5)},
       "rng_free": true  (informational; anything else is rejected)
@@ -312,6 +313,9 @@ def parse_config(path) -> RunConfig:
     _reject_unknown(user_thr, set(thresholds), "thresholds")
     for key in user_thr:
         thresholds[key] = _get(user_thr, key, float, "thresholds")
+    if thresholds["slope_min"] > thresholds["slope_max"]:
+        raise ConfigError("thresholds", "slope_min above slope_max: no gap slope "
+                          "can meet the window")
     dump = _get(raw, "dump_matrix", bool, "", default=False)
 
     try:

@@ -133,7 +133,7 @@ def mask_grid(path) -> SectionGrid:
         ny, nz, h = int(ny_s), int(nz_s), float(h_s)
     except (ValueError, IndexError):
         raise ConfigError("section.path", "header must be 'ny nz h'")
-    if h <= 0 or ny < 1 or nz < 1 or len(lines) != ny + 1:
+    if not (np.isfinite(h) and h > 0) or ny < 1 or nz < 1 or len(lines) != ny + 1:
         raise ConfigError("section.path", "bad header or row count")
     rows = []
     for k, line in enumerate(lines[1:]):

@@ -26,9 +26,10 @@ Unknowns are the interior nodes in every direction, ordered s-major
 ``field[1:-1].reshape(-1)`` for the engine's full-grid fields.
 
 Only the coefficients depend on eps.  A :class:`PencilFamily` holds
-everything else for one (frame, grid): H's sparsity pattern (three s-slab
-row layouts, int32), the section-sized maps from per-node coefficients to
-block values, and the separable eigenbasis.  A run that solves several eps
+everything else for one (frame, grid): H's sparsity pattern (int32, laid
+out from one interior s-slab), the section-sized maps from per-node
+coefficients to block values, the int32 index that gathers H.data from
+those values, and the separable eigenbasis.  A run that solves several eps
 builds one family and fills only H.data per eps; :func:`assemble` is the
 one-off form of the same path.
 
@@ -139,36 +140,19 @@ def _on_pattern(P: sp.csr_matrix, A) -> np.ndarray:
     return out
 
 
-def _slab_layout(blocks):
-    """Row layout of one s-slab whose rows concatenate the given section
-    patterns, each (pattern, column offset).  Returns the position of every
-    pattern entry inside the slab's data segment (int32, one array per
-    block), the segment's column indices (offset included) and row lengths.
-    """
-    lens = [np.diff(P.indptr) for P, _ in blocks]
-    row_len = np.sum(lens, axis=0)
-    start = np.concatenate([[0], np.cumsum(row_len)[:-1]])
-    cols = np.empty(int(row_len.sum()), dtype=np.int32)
-    positions = []
-    for (P, offset), ln in zip(blocks, lens):
-        rows = np.repeat(np.arange(ln.size), ln)
-        pos = start[rows] + np.arange(P.nnz) - P.indptr[rows]
-        cols[pos] = P.indices + offset
-        positions.append(pos.astype(np.int32))
-        start = start + ln
-    return positions, cols, row_len
-
-
 class PencilFamily:
     """Everything about the pencil on one (frame, grid) that does not
     depend on eps, built once so that each eps only fills values.
 
     H is block tridiagonal in the s-slabs.  Every diagonal block has the
     section pattern of S and R^T R, every off-diagonal block that of R and
-    I, so H's CSR pattern (int32 indices and row pointer, shared by every
-    pencil of the family) is three slab row layouts: the first slab, each
-    interior one and the last.  On slab i, with c = 1 / (1 - eps q_mid) on
-    the s-edges and (k3 / p) on the nodes, the blocks are
+    I.  H's CSR pattern (int32 indices and row pointer, shared by every
+    pencil of the family) comes from one interior slab, whose rows hold the
+    blocks (i, i-1), (i, i) and (i, i+1): slab i shifts its columns by
+    (i - 1) n_omega and drops those outside H, which are exactly the first
+    slab's block (0, -1) and the last slab's (M_s - 3, M_s - 2).  On slab
+    i, with c = 1 / (1 - eps q_mid) on the s-edges and (k3 / p) on the
+    nodes, the blocks are
 
       (i, i)    eps^-2 S - eps^-1 (k1 G2 + k2 G3) + R^T (k3^2 / p) R
                 + diag(c_{i-1/2} + c_{i+1/2}) / h_s^2
@@ -181,10 +165,11 @@ class PencilFamily:
     transposes.  Each block is linear in its coefficients, so one
     section-sized sparse map per block kind takes a stack of coefficient
     rows (one column per slab) to the values of every slab at once: a fill
-    is two sparse products and the scatters into H.data, with slab-sized
-    index arrays.  Only the upper triangle of a diagonal block is computed
-    and it is written to both triangles, and each lower off-diagonal block
-    is the mirror of the upper one, so H is exactly symmetric as stored.
+    is two sparse products and one gather into H.data, through an int32
+    index with one entry per entry of H, built with the pattern.  Only the
+    upper triangle of a diagonal block is computed: a strictly lower entry
+    reads its upper mirror, and an entry of block (i, i-1) the mirrored
+    entry of block (i-1, i), so H is exactly symmetric as stored.
     Every rod takes this one path, and its only choice is R: on an
     untwisted rod it stores no entry, so the pattern leaves out every R
     term and H holds no explicit zeros.  G2 and G3 have S's pattern, so on
@@ -207,33 +192,29 @@ class PencilFamily:
         Rc = R.tocoo()
 
         # diagonal blocks: pattern, and the map from coefficient rows to
-        # the upper triangle (strict upper entries first, then the diagonal)
+        # the upper triangle
         Pd = _pattern(ops.S, R.T @ R)
         row_d = np.repeat(np.arange(nw), np.diff(Pd.indptr))
-        strict = np.flatnonzero(Pd.indices > row_d)
-        upper = np.concatenate([strict, np.flatnonzero(Pd.indices == row_d)])
+        upper = np.flatnonzero(Pd.indices >= row_d)
         G2 = sp.diags(grid.xi2) @ ops.S - ops.D2
         G3 = ops.D3 - sp.diags(grid.xi3) @ ops.S
         stencils = [ops.S, (G2 + G2.T) * 0.5, (G3 + G3.T) * 0.5]
-        cols = [sp.csr_matrix(np.column_stack([_on_pattern(Pd, A)[upper]
-                                               for A in stencils]))]
+        cols = [sp.csr_matrix(np.column_stack([_on_pattern(Pd, A) for A in stencils]))]
         # R^T diag(c) R at (a, e) is the sum over b of R[b, a] R[b, e] c_b:
         # one term per pair (t, u) of stored entries in the same row b
         row = sp.csr_matrix((np.ones(Rc.nnz), (np.arange(Rc.nnz), Rc.row)),
                             shape=(Rc.nnz, nw))
         pairs = (row @ row.T).tocoo()
         t, u = pairs.row, pairs.col
-        rr = sp.csr_matrix(
+        cols.append(sp.csr_matrix(
             (Rc.data[t] * Rc.data[u],
              (_entry_index(Pd, Rc.col[t], Rc.col[u]), Rc.row[t])),
             shape=(Pd.nnz, nw),
-        )
-        cols.append(rr[upper])
-        cols.append(sp.csr_matrix(
-            (np.ones(nw), (np.arange(strict.size, upper.size), np.arange(nw))),
-            shape=(upper.size, nw),
         ))
-        self._diag_map = sp.hstack(cols, format="csr")
+        diag = _entry_index(Pd, np.arange(nw), np.arange(nw))
+        cols.append(sp.csr_matrix((np.ones(nw), (diag, np.arange(nw))),
+                                  shape=(Pd.nnz, nw)))
+        self._diag_map = sp.hstack(cols, format="csr")[upper]
 
         # off-diagonal blocks (i, i+1)
         Po = _pattern(I_w, R)
@@ -246,35 +227,41 @@ class PencilFamily:
         for node in (Rc.col, Rc.row):  # (k3/p)_i at b, (k3/p)_{i+1} at a
             cols.append(sp.csr_matrix((r, (r_at, node)), shape=(Po.nnz, nw)))
         self._off_map = sp.hstack(cols, format="csr")
-        mirror = _entry_index(Po, col_o, row_o)  # entry (a, b) -> entry (b, a)
 
-        # the three slab layouts and H's pattern
-        (first_d, first_up), first_cols, first_len = _slab_layout(
-            [(Pd, 0), (Po, nw)])
-        (mid_lo, mid_d, mid_up), mid_cols, mid_len = _slab_layout(
-            [(Po, 0), (Pd, nw), (Po, 2 * nw)])
-        (last_lo, last_d), last_cols, last_len = _slab_layout([(Po, 0), (Pd, nw)])
-        lower = _entry_index(Pd, Pd.indices[strict], row_d[strict])  # mirrors
-        self._first = (first_d[upper], first_d[lower], first_up)
-        self._mid = (mid_d[upper], mid_d[lower], mid_up, mid_lo[mirror])
-        self._last = (last_d[upper], last_d[lower], last_lo[mirror])
-        self._seg = (first_cols.size, mid_cols.size, last_cols.size)
+        # H's pattern from one interior slab, whose rows hold the blocks
+        # (i, i-1) = O_{i-1}^T, (i, i) and (i, i+1) at column offsets 0, nw
+        # and 2 nw.  On slab i its entry e reads entry at[e] + i of the
+        # block values `assemble` computes, [Du.ravel(), Ov.ravel()] with
+        # one column per slab: a strictly lower entry of the diagonal block
+        # reads its upper mirror, an entry of O_{i-1}^T the mirrored entry
+        # of O_{i-1}
+        read = np.empty(Pd.nnz, dtype=np.int64)
+        read[upper] = np.arange(upper.size) * ms
+        low = np.flatnonzero(Pd.indices < row_d)
+        read[low] = read[_entry_index(Pd, Pd.indices[low], row_d[low])]
+        off = upper.size * ms + np.arange(Po.nnz) * (ms - 1)
+        rows = np.concatenate([col_o, row_d, row_o])
+        cols = np.concatenate([row_o, Pd.indices + nw, col_o + 2 * nw])
+        order = np.argsort(rows * 3 * nw + cols)
+        cols = cols[order].astype(np.int32)
+        at = np.concatenate([off - 1, read, off])[order].astype(np.int32)
 
-        nnz = first_cols.size + (ms - 2) * mid_cols.size + last_cols.size
+        # slab i shifts the columns by (i - 1) nw and drops those outside H,
+        # which are the first slab's block (0, -1) and the last's (ms-1, ms)
+        nnz = ms * cols.size - 2 * Po.nnz
         if nnz >= 2**31:
             raise SolverFail(f"H would have {nnz} nonzeros, past int32 indices")
-        self.indices = np.empty(nnz, dtype=np.int32)
-        self.indices[: first_cols.size] = first_cols
-        mid = self.indices[first_cols.size : nnz - last_cols.size]
-        np.add(
-            mid_cols[None, :],
-            (np.arange(ms - 2, dtype=np.int32) * nw)[:, None],
-            out=mid.reshape(ms - 2, mid_cols.size),
-        )
-        self.indices[nnz - last_cols.size :] = last_cols + (ms - 2) * nw
+        i = np.arange(ms, dtype=np.int32)[:, None]
+        shifted = cols + (i - 1) * nw  # (ms, slab entries)
+        keep = (shifted >= 0) & (shifted < ms * nw)
+        self.indices = shifted[keep]
+        self._gather = np.add(at, i, out=shifted)[keep]  # columns spent
+        # row a of slab i: row a of the diagonal block, and of the blocks
+        # (i, i-1) and (i, i+1) where they lie inside H
+        lens = (np.diff(Pd.indptr) + np.bincount(col_o, minlength=nw) * (i > 0)
+                + np.diff(Po.indptr) * (i < ms - 1))
         self.indptr = np.zeros(ms * nw + 1, dtype=np.int32)
-        lens = np.concatenate([first_len, np.tile(mid_len, ms - 2), last_len])
-        np.cumsum(lens.astype(np.int32), out=self.indptr[1:])
+        np.cumsum(lens, out=self.indptr[1:])
 
     @functools.cached_property
     def section_basis(self):
@@ -311,24 +298,11 @@ class PencilFamily:
         coef = np.vstack([np.full((1, ms), eps**-2.0), -k1[None, :] / eps,
                           -k2[None, :] / eps, (k3[:, None] ** 2 / p_int).T,
                           ((c_s[:-1] + c_s[1:]) / hs**2).T])
-        Du = (self._diag_map @ coef).T  # (ms, upper entries)
+        Du = self._diag_map @ coef  # (upper entries, ms)
         c = (k3[:, None] / p_int).T
         coef = np.vstack([(-c_s[1:-1] / hs**2).T, c[:, :-1], c[:, 1:]])
-        Ov = (self._off_map @ coef).T  # (ms - 1, R u I entries)
-
-        data = np.empty(self.indices.size)
-        n0, n_mid, n1 = self._seg
-        first, last = data[:n0], data[data.size - n1 :]
-        mid = data[n0 : data.size - n1].reshape(ms - 2, n_mid)
-        up, low, off = self._first
-        first[up], first[low], first[off] = Du[0], Du[0, : low.size], Ov[0]
-        up, low, off_up, off_lo = self._mid
-        mid[:, up] = Du[1:-1]
-        mid[:, low] = Du[1:-1, : low.size]
-        mid[:, off_up] = Ov[1:]
-        mid[:, off_lo] = Ov[:-1]
-        up, low, off = self._last
-        last[up], last[low], last[off] = Du[-1], Du[-1, : low.size], Ov[-1]
+        Ov = self._off_map @ coef  # (R u I entries, ms - 1)
+        data = np.concatenate([Du.ravel(), Ov.ravel()])[self._gather]
 
         n = ms * nw
         H = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))

@@ -698,6 +698,10 @@ def _mask_config(tmp_path, data=None):
         (lambda t: _mask_config(t, b"3 3 0.25\n111\n111\n"), "section.path"),
         # 16 interior nodes, below the 25 a mask section needs
         (lambda t: _mask_config(t, b"4 4 0.2\n" + b"1111\n" * 4), "section"),
+        # a gap-slope window no slope can meet
+        (lambda t: write_config(
+            t, {"thresholds": {"slope_min": 2.5, "slope_max": 1.5}}),
+         "thresholds"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
@@ -706,7 +710,8 @@ def _mask_config(tmp_path, data=None):
          "twist-values-string", "s0-huge-integer", "M_s-below-16",
          "s0-nan", "twist-rate-nan", "center-nan", "side-infinity",
          "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header",
-         "section-kind-unknown", "mask-row-count", "mask-below-25-nodes"],
+         "section-kind-unknown", "mask-row-count", "mask-below-25-nodes",
+         "slope-window-empty"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,

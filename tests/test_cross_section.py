@@ -465,6 +465,12 @@ def test_mask_file_rejects_bad_input(tmp_path):
     p.write_text("2 3 0.1\n111\n11\n")
     with pytest.raises(ConfigError):
         mask_grid(p)
+    # a spacing that is not a finite positive number
+    for h in ("0", "-0.1", "nan", "inf"):
+        p.write_text(f"6 7 {h}\n" + "\n".join(["1111111"] * 6) + "\n")
+        with pytest.raises(ConfigError) as e:
+            mask_grid(p)
+        assert e.value.path == "section.path"
     # two components
     p.write_text("7 11 0.1\n" + "\n".join(["11111011111"] * 7) + "\n")
     with pytest.raises(ConfigError):

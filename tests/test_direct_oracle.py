@@ -8,6 +8,7 @@ are checked against a dense eigh.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,11 @@ def _kron_assembly(frame, grid, eps):
 
 
 # the four kinds of rod, bend and twist each present or absent: one path
-# builds them all, and only the twisted ones carry R terms
+# builds them all, and only the twisted ones carry R terms.  The helix on
+# the full 11 x 17 mask has unequal section sides; the untwisted arc on a
+# disk has no R, so its off-diagonal blocks are the identity alone.  Both
+# run at M_s 16, 14 slabs.
+RECTANGLE = Path(__file__).parent / "data" / "rectangle_11x17.mask"
 RODS = {
     "straight": lambda: (build_frame(CurveSpec("straight", s0=np.pi), 20),
                          square_grid(1.0, 10), 0.1),
@@ -123,6 +128,9 @@ RODS = {
         square_grid(1.0, 10), 0.2),
     "helix-square": lambda: (*_helix(), 0.25),
     "helix-disk": lambda: (*_helix(kind="disk"), 0.25),
+    "helix-mask": lambda: (_helix(M_s=16)[0], mask_grid(RECTANGLE), 0.2),
+    "arc-disk": lambda: (build_frame(CurveSpec("circular_arc", s0=2.0, radius=1.5), 16),
+                         disk_grid(0.5, 14, center=(0.1, 0.05)), 0.05),
 }
 
 
