@@ -28,10 +28,12 @@ are (M_s, n_section) arrays on the full s-grid with zero end rows.
 
 Each step needs the coupling sum sum_{j=2}^{i+2} F_j psi_{i+2-j}.  The
 F_j with j >= 2 share one stencil and differ only by the weight
-c_j = q^(j-2), so apply_Fj, the one coupling stencil, takes a list of
-fields: their s-differences, central differences and R psi are
-Horner-summed in q (in q_mid for the flux), weighted once by c_j, then
-differenced once; the two twist terms under R share one product,
+c_j = q^(j-2), so apply_Fj, the one coupling apply, takes the list of
+fields and returns sum_k F_{2+k} U[k], the only form anything calls
+(the recurrence, and direct_oracle.series_defect for the eps series of
+H): the fields' s-differences, central differences and R psi are
+Horner-summed in q (in q_mid for the flux), then differenced once; the
+two twist terms under R share one product,
 R(k3 (c D_s U + k3 c R U)), since k3 is a per-row scalar.  R psi_k is
 computed once per finished field.  Structural zeros stay exact: where
 q == 0 each Horner step multiplies by an exact zero before adding the
@@ -162,27 +164,18 @@ def _f1_minus_lq(ctx: EngineContext, U: TensorField, lam: float) -> TensorField:
     return out
 
 
-def apply_Fj(ctx: EngineContext, j: int, U, RU=None) -> TensorField:
-    """The order-j coupling operator, symmetric by construction.
+def apply_Fj(ctx: EngineContext, U, RU=None) -> TensorField:
+    """The coupling sum sum_k F_{2+k} U[k] of a list of fields U, symmetric
+    by construction in each term.
 
-    j = 1: -div_xi(q grad_xi .), one field (_f1_minus_lq at lam = 0).
-    j >= 2: d/ds c d/ds + R k3 c d/ds + d/ds k3 c R + k3^2 R c R with
+    F_j = d/ds c d/ds + R k3 c d/ds + d/ds k3 c R + k3^2 R c R with
     c = q^(j-2); s-fluxes with mean-then-power midpoint coefficients,
-    first s-derivatives central, zero extension at the rod ends.
-
-    For j >= 2, U may be a list of fields: the result is then
-    sum_k F_{j+k} U[k], Horner-summed (see the module docstring).  RU, if
-    given, holds R U (a list for a list), and the sum makes one section
-    product.
+    first s-derivatives central, zero extension at the rod ends.  The
+    sum is Horner-summed in q (see the module docstring); F_1 is
+    _f1_minus_lq at lam = 0.  RU, if given, holds the list R U, and the
+    sum makes one section product.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j == 1:
-        return _f1_minus_lq(ctx, U, 0.0)
-
     ops = ctx.spectrum.ops
-    if not isinstance(U, list):
-        U, RU = [U], None if RU is None else [RU]
     if RU is None:
         RU = [_sec(ops.R, u) for u in U]
     hs = ctx.frame.h
@@ -202,11 +195,6 @@ def apply_Fj(ctx: EngineContext, j: int, U, RU=None) -> TensorField:
         ds += np.subtract(u[2:], u[:-2], out=d[:-2])
         V *= q
         V += ru
-    p = j - 2
-    if p:
-        flux *= q_mid**p
-        ds *= q[1:-1] ** p
-        V *= q**p
 
     out = np.zeros_like(last)
     o = out[1:-1]
@@ -361,7 +349,7 @@ def run_recurrence(
         U2 = pt + 0.5 * Psi[i - 1][:, None] * qphi
         RU2 = _sec(ctx.spectrum.ops.R, U2)
         Ft = _f1_minus_lq(ctx, pt_next, ctx.lam_n)
-        Ft += apply_Fj(ctx, 2, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
+        Ft += apply_Fj(ctx, [U2, *psi[i - 1::-1]], [RU2, *Rpsi[i - 1::-1]])
         Ft -= ctx.q * np.tensordot(lam_all[i + 1:1:-1], psi[:i], axes=1)
         Ft_next = Ft
 

@@ -634,15 +634,16 @@ def deflated_solve(
     cancellation; rows whose norm fell below it are rounding residue and
     are not solvability-checked against themselves), else
     SolvabilityViolation.  After: each row's residual against P rhs must
-    be within 1e-10 of the rhs, else SolverFail.  The defect is the
-    largest |<rhs, phi>_w| / max(|rhs|_w, floor) of the rows, the ratio
-    refused above _ORTHO_TOL.
+    be within 1e-10 of the rhs, else SolverFail.  Every row is measured
+    against one floor, the larger of noise_floor and the largest row norm
+    |rhs|_w: a row is refused where |<rhs, phi>_w| > _ORTHO_TOL * floor,
+    and the defect is the largest |<rhs, phi>_w| / max(floor, 1e-300).
     """
     nrm = np.sqrt(w * np.sum(rows**2, axis=1))
     dot = w * (rows @ phi)
     floor = np.maximum(np.max(nrm) if nrm.size else 0.0, noise_floor)
-    bad = np.abs(dot) > _ORTHO_TOL * np.maximum(nrm, floor)
-    defect = float((np.abs(dot) / np.maximum(nrm, max(floor, 1e-300))).max(initial=0.0))
+    bad = np.abs(dot) > _ORTHO_TOL * floor
+    defect = float((np.abs(dot) / max(floor, 1e-300)).max(initial=0.0))
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise SolvabilityViolation(

@@ -19,7 +19,9 @@ transverse block collapses exactly to a combination of the shared section
 stencils, which keeps the two computation routes on identical discrete
 operators.  Expanding the coefficients in powers of eps reproduces, order
 by order, the operators applied by the asymptotic engine; that identity is
-exposed as :func:`series_defect` and checked in the test-suite.
+exposed as :func:`series_defect`, which sums the F_j through the same
+coupling apply as the recurrence, and is checked by the selftest and the
+test-suite.
 
 Unknowns are the interior nodes in every direction, ordered s-major
 (flat index = s_index * n_omega + section_index), matching
@@ -59,8 +61,9 @@ certificate: rho = ||B^-1/2 (H u - lambda B u)|| / ||B^1/2 u||, so that
 some eigenvalue of the pencil lies within rho of lambda (Parlett, The
 Symmetric Eigenvalue Problem).  The run stops at the first step where the
 K requested pairs reach ``target = max(tol, 8 * eps_mach * ||H||_inf)``
-(tol is 1e-8 by default; the second term is the floating-point floor of
-rho) and rho recomputed from H meets it as well; a run that ends at
+(tol is 1e-8 by default; the second term estimates rho's floating-point
+floor, which on a very thin rod can lie above it: see the README) and rho
+recomputed from H meets it as well; a run that ends at
 maxiter must still meet it, or the solve raises SolverFail with LOBPCG's
 residual history.  The guard columns beyond K only set the window edge and
 need not converge.
@@ -430,9 +433,11 @@ def series_defect(
     """Residual of the eps-power-series identity for H, truncated at order K.
 
     || H z - [eps^-2 S z - sum_{j=1..K} eps^{j-2} F_j z] || / ||H z||,
-    with F_j applied by the asymptotic engine on the same grid.  The tail
-    is geometric in eps*max|q| (the transverse block is exact for K >= 1);
-    it reaches the floating-point floor once (eps max|q|)^{K-1} does.
+    with F_1 from the asymptotic engine's F_1 stencil and the j >= 2 terms
+    from one call of its coupling sum on [eps^k z for k < K - 1], the
+    recurrence's Horner apply (no call for K = 1).  The tail is geometric
+    in eps*max|q| (the transverse block is exact for K >= 1); it reaches
+    the floating-point floor once (eps max|q|)^{K-1} does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -442,8 +447,9 @@ def series_defect(
     z = to_vector(op, Z)
     acc = to_field(op, op.H @ z)
     acc[1:-1] -= op.eps**-2.0 * (spectrum.ops.S @ Z[1:-1].T).T
-    for j in range(1, K + 1):
-        acc += op.eps ** (j - 2.0) * engine.apply_Fj(ctx, j, Z)
+    acc += engine._f1_minus_lq(ctx, Z, 0.0) / op.eps
+    if K > 1:
+        acc += engine.apply_Fj(ctx, [op.eps**k * Z for k in range(K - 1)])
     return float(
         np.sqrt(np.sum(acc**2)) / np.sqrt(np.sum((op.H @ z) ** 2))
     )

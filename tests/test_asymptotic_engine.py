@@ -82,14 +82,22 @@ def _rand_field(ctx, seed):
     return U
 
 
+def _Fj(ctx, j, U):
+    """F_j U through the engine: the F_1 stencil for j = 1, else the
+    coupling sum on U padded in front with j - 2 zero fields."""
+    if j == 1:
+        return _f1_minus_lq(ctx, U, 0.0)
+    return apply_Fj(ctx, [np.zeros_like(U)] * (j - 2) + [U])
+
+
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
 def test_apply_Fj_symmetric(j):
     # <F_j U, V> == <U, F_j V> on zero-extended fields
     ctx = _helix_ctx()
     U, V = _rand_field(ctx, 11 + j), _rand_field(ctx, 47 + j)
     w = ctx.frame.h * ctx.spectrum.h**2
-    a = w * np.sum(apply_Fj(ctx, j, U) * V)
-    b = w * np.sum(U * apply_Fj(ctx, j, V))
+    a = w * np.sum(_Fj(ctx, j, U) * V)
+    b = w * np.sum(U * _Fj(ctx, j, V))
     scale = w * np.sqrt(np.sum(U**2) * np.sum(V**2))
     assert abs(a - b) < 1e-10 * max(scale, abs(a))
 
@@ -124,7 +132,7 @@ def test_apply_Fj_one_field_matches_reference(j):
     ctx = _helix_ctx()
     U = _rand_field(ctx, 7 + j)
     want = _reference_Fj(ctx, j, U)
-    assert np.abs(apply_Fj(ctx, j, U) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(_Fj(ctx, j, U) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_apply_Fj_list_equals_sum_of_reference():
@@ -133,13 +141,9 @@ def test_apply_Fj_list_equals_sum_of_reference():
     assert np.abs(ctx.q).max() > 0 and np.abs(ctx.frame.kappa3).max() > 0
     U = [_rand_field(ctx, 100 + j) for j in range(2, 8)]
     RU = [_sec(ctx.spectrum.ops.R, u) for u in U]
-    got = apply_Fj(ctx, 2, U, RU)
+    got = apply_Fj(ctx, U, RU)
     want = sum(_reference_Fj(ctx, j, u) for j, u in zip(range(2, 8), U))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # a list starting at j = 3 is the same sum without its first field
-    got3 = apply_Fj(ctx, 3, U[1:], RU[1:])
-    want3 = want - _reference_Fj(ctx, 2, U[0])
-    assert np.abs(got3 - want3).max() <= 1e-12 * np.abs(want3).max()
 
 
 def _count_sec(monkeypatch):
@@ -164,13 +168,13 @@ def test_section_products_per_coupling(monkeypatch):
     calls = _count_sec(monkeypatch)
     _ftilde(ctx, Psi)
     assert len(calls) == 0
-    apply_Fj(ctx, 2, U, RU)
+    apply_Fj(ctx, U, RU)
     assert len(calls) == 1
 
 
 def _ftilde_reference(ctx, Psi):
     V = Psi[:, None] * ctx.phi[None, :]
-    return 0.5 * _f1_minus_lq(ctx, ctx.q * V, ctx.lam_n) + apply_Fj(ctx, 2, V)
+    return 0.5 * _f1_minus_lq(ctx, ctx.q * V, ctx.lam_n) + apply_Fj(ctx, [V])
 
 
 def _profile(fr):
@@ -228,7 +232,7 @@ def test_F2_no_twist_is_s_laplacian_on_profiles():
     Psi = np.sin(np.pi * s / fr.s0) * (1 + 0.3 * s)
     Psi[0] = Psi[-1] = 0.0
     V = Psi[:, None] * ctx.phi[None, :]
-    got = apply_Fj(ctx, 2, V)
+    got = apply_Fj(ctx, [V])
     d2 = np.zeros_like(Psi)
     d2[1:-1] = (Psi[2:] - 2 * Psi[1:-1] + Psi[:-2]) / fr.h**2
     assert np.allclose(got, d2[:, None] * ctx.phi[None, :], atol=1e-10)
@@ -241,7 +245,7 @@ def test_f1_identity_on_mode():
     Psi = np.sin(np.pi * ctx.frame.s_grid / ctx.frame.s0)
     Psi[0] = Psi[-1] = 0.0
     V = Psi[:, None] * ctx.phi[None, :]
-    got = apply_Fj(ctx, 1, V) - ctx.lam_n * ctx.q * V
+    got = _Fj(ctx, 1, V) - ctx.lam_n * ctx.q * V
     grad = ctx.frame.kappa1[:, None] * (ops.D2 @ ctx.phi)[None, :] - ctx.frame.kappa2[
         :, None
     ] * (ops.D3 @ ctx.phi)[None, :]
@@ -335,7 +339,7 @@ def order_equation_residual(state: ExpansionState, i: int) -> float:
     r = _sec(ctx.spectrum.ops.S, state.psi[i]) - ctx.lam_n * state.psi[i]
     for j in range(1, i + 1):
         r -= state.lam[j] * state.psi[i - j]  # lam[j] = lambda_{j-2}
-        r -= apply_Fj(ctx, j, state.psi[i - j])
+        r -= _Fj(ctx, j, state.psi[i - j])
         if j != 2:  # lambda_{j-3}: lam_n at j=1, 0 at j=2
             r += state.lam[j - 1] * ctx.q * state.psi[i - j]
     return float(np.sqrt(ctx.frame.h * ctx.spectrum.h**2 * np.sum(r**2)))

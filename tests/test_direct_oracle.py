@@ -225,10 +225,27 @@ def test_assembled_matrix_is_exactly_symmetric():
 def test_series_defect_decays_geometrically():
     op = _helix_op(eps=0.25)
     x = 0.25 * np.abs(op.q).max()
-    d = {K: series_defect(op, K) for K in (2, 4, 6, 40)}
+    d = {K: series_defect(op, K) for K in (1, 2, 4, 6, 40)}
+    assert d[2] < d[1] * 8 * x
     assert d[4] < d[2] * 8 * x**2
     assert d[6] < d[4] * 8 * x**2
     assert d[40] < 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 2, 12])
+def test_series_defect_sums_the_couplings_in_one_apply(monkeypatch, K):
+    # F_2..F_K go through the recurrence's coupling sum in one call of
+    # K - 1 fields; F_1 alone makes none
+    calls = []
+    inner = engine.apply_Fj
+
+    def counting(ctx, U, RU=None):
+        calls.append(len(U))
+        return inner(ctx, U, RU)
+
+    monkeypatch.setattr(engine, "apply_Fj", counting)
+    series_defect(_helix_op(eps=0.25), K)
+    assert calls == ([K - 1] if K > 1 else [])
 
 
 def test_series_defect_straight_twisted_is_machine_level():
