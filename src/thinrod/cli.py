@@ -34,7 +34,9 @@ a mask file that cannot be read or parsed is an error on `section.path`):
                   "maxiter": int  (>= 1, default 150),
                   "count": int  (direct eigenpairs, at most a quarter
                                  of the unknowns less 3; default 0 = auto)},
-      "output":  {"prefix": str  (default "thinrod")},
+      "output":  {"prefix": str  (a file-name stem: not empty, ".", ".."
+                                 or holding "/", "\\" or NUL; default
+                                 "thinrod")},
       "dump_matrix": bool  (write the assembled matrix per epsilon),
       "thresholds": {"slope_min": float  (default order - 1.5, at most
                                       slope_max),
@@ -305,6 +307,9 @@ def parse_config(path) -> RunConfig:
     output = _get(raw, "output", dict, "", default={})
     _reject_unknown(output, {"prefix"}, "output")
     prefix = _get(output, "prefix", str, "output", default="thinrod")
+    if prefix in ("", ".", "..") or any(c in prefix for c in "/\\\0"):
+        raise ConfigError("output.prefix", "expected a file-name stem: not empty, "
+                          "'.' or '..', and no path separator or NUL")
     # a partial sum through lambda_{N-2} misses by O(eps^(N-1)), so the
     # default gap window is (N - 1) -+ 0.5
     thresholds = {"slope_min": order - 1.5, "slope_max": order - 0.5,
@@ -507,7 +512,8 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     try:
         _check_section_size(cfg.grid)
     except SolverFail as e:
-        raise ConfigError("section.n", str(e)) from e
+        field = "section.path" if cfg.grid.kind == "mask" else "section.n"
+        raise ConfigError(field, str(e)) from e
     spectrum = _solve_spectrum(cfg)
     states = [
         engine.run_recurrence(cfg.frame, spectrum, n, m, cfg.order)
@@ -767,7 +773,7 @@ def cmd_selftest(out_dir) -> list:
             else:
                 results.append((name, "PASS"))
     for name, status in results:
-        print(f"{status:4s} {name}" if status == "PASS" else f"{status} {name}")
+        print(f"{status:4s} {name}")
     if out_dir is not None:
         _write_json(
             Path(out_dir) / "thinrod_selftest.json",

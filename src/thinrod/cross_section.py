@@ -207,7 +207,8 @@ def laplacian(grid: SectionGrid) -> sp.csr_matrix:
 
 @dataclass
 class SectionOperators:
-    """Sparse stencil family on one grid, built once and shared."""
+    """Sparse stencil family on one grid, from :func:`build_operators`;
+    each section solve and each pencil family builds its own."""
 
     S: sp.csr_matrix
     D2: sp.csr_matrix
@@ -303,17 +304,17 @@ def solve_section(grid: SectionGrid, count: int) -> SectionSpectrum:
     return SectionSpectrum(grid, ops, lam, phi, C, C_int, m2, m3, a2, a3)
 
 
-def assert_simple(spectrum: SectionSpectrum, n: int, gap_tol: float = 1e-6) -> None:
-    """Refuse modes that are not numerically simple (relative gap test)."""
+def assert_simple(spectrum: SectionSpectrum, n: int) -> None:
+    """Refuse modes that are not numerically simple (relative gap 1e-6)."""
     lam, _ = spectrum.mode(n)
     if n + 1 > spectrum.count:
         raise IndexError(f"need mode {n + 1} stored to assess the gap above mode {n}")
     gap = spectrum.lam[n] - lam
     if n >= 2:
         gap = min(gap, lam - spectrum.lam[n - 2])
-    if gap <= gap_tol * lam:
+    if gap <= 1e-6 * lam:
         raise MultipleEigenvalue(
-            f"section mode {n}: relative gap {gap / lam:.3e} <= {gap_tol:g}"
+            f"section mode {n}: relative gap {gap / lam:.3e} <= 1e-06"
         )
 
 
@@ -445,7 +446,8 @@ def _check_section_size(grid: SectionGrid, sizes=None):
     the squares of its parity block sizes (from :func:`_parity_basis`
     unless given) sum above _SPECTRAL_CUTOFF^2.  A mask with no mirror
     symmetry is one block, so it is refused above _SPECTRAL_CUTOFF
-    interior nodes."""
+    interior nodes.  The message ends with the field to change: the mask
+    file for a mask section, section.n for a built-in one."""
     if grid.mask.all():
         return
     nw = grid.n_interior
@@ -460,7 +462,9 @@ def _check_section_size(grid: SectionGrid, sizes=None):
         raise SolverFail(
             f"section has {nw} interior nodes{blocks}, above the limit of "
             f"{_SPECTRAL_CUTOFF} for the dense section eigenbasis the direct "
-            "solve needs on a non-rectangular section; lower section.n"
+            "solve needs on a non-rectangular section; "
+            + ("use a mask file of fewer interior nodes in section.path"
+               if grid.kind == "mask" else "lower section.n")
         )
 
 
@@ -666,18 +670,16 @@ def deflated_solve(
 
 
 def deflated_resolvent(
-    spectrum: SectionSpectrum, n: int, rhs: np.ndarray, noise_floor: float = 0.0
+    spectrum: SectionSpectrum, n: int, rows: np.ndarray, noise_floor: float
 ) -> tuple[np.ndarray, float]:
-    """(u, defect): u with (S - lambda_n) u = P_n rhs, <u, phi_n> = 0, for
-    one rhs or a stack of rows, and the rhs's solvability defect.  The
-    solver is kept per n (see deflated_solve): the closed-form sine
-    resolvent on a full rectangular mask, the bordered LU on any other."""
+    """(u, defect): for each row r of the (rows, n_interior) stack, the row
+    u with (S - lambda_n) u = P_n r, <u, phi_n> = 0, and the stack's
+    solvability defect.  The solver is kept per n (see deflated_solve): the
+    closed-form sine resolvent on a full rectangular mask, the bordered LU
+    on any other."""
     lam, phi = spectrum.mode(n)
-    rhs = np.asarray(rhs, dtype=float)
     grid, w = spectrum.grid, spectrum.h**2
     inner = (lambda: _sine_resolvent(grid, lam, phi, w)) if grid.mask.all() else None
-    out, defect = deflated_solve(
-        spectrum.ops.S, lam, phi, w, np.atleast_2d(rhs),
-        noise_floor, spectrum._factors, n, inner,
+    return deflated_solve(
+        spectrum.ops.S, lam, phi, w, rows, noise_floor, spectrum._factors, n, inner
     )
-    return (out[0] if rhs.ndim == 1 else out), defect

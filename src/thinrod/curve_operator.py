@@ -9,9 +9,10 @@ discretization order either way).
 
 Profiles are stored on the full s-grid with explicit zero end values;
 the 3-point operator acts on the interior nodes. Discrete inner
-product: <u,v> = h_s * sum over interior nodes. ReducedOperator.matrix
-is the one tridiagonal: the eigensolve reads its diagonals, and the
-deflated resolvent hands it to cross_section.deflated_solve.
+product: <u,v> = h_s * sum over interior nodes. ReducedOperator.L, built
+once by build_reduced, is the one tridiagonal: the eigensolve reads its
+diagonals, and the deflated resolvent hands it to
+cross_section.deflated_solve.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class ReducedOperator:
     n: int
     s_grid: np.ndarray
     V: np.ndarray  # potential per node, full grid
+    L: sp.csr_matrix  # interior-node matrix of -d^2/ds^2 + V
     _factors: dict = field(default_factory=dict, repr=False)
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -46,18 +47,6 @@ class ReducedOperator:
     @property
     def s0(self) -> float:
         return float(self.s_grid[-1])
-
-    def matrix(self) -> sp.csr_matrix:
-        """Interior-node matrix of -d^2/ds^2 + V, built on the first call."""
-        if self._matrix is None:
-            m = self.s_grid.size - 2
-            h2 = self.h**2
-            self._matrix = sp.diags(
-                [np.full(m - 1, -1.0 / h2), 2.0 / h2 + self.V[1:-1], np.full(m - 1, -1.0 / h2)],
-                offsets=(-1, 0, 1),
-                format="csr",
-            )
-        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -75,14 +64,18 @@ class ReducedMode:
 def build_reduced(
     frame: FrameField, C_n: float, n: int = 1, transverse_weights=(1.0, 1.0)
 ) -> ReducedOperator:
-    """Assemble V_n from the stored curvature arrays."""
+    """Assemble V_n from the stored curvature arrays, and the interior
+    tridiagonal of -d^2/ds^2 + V_n."""
     w2, w3 = transverse_weights
     V = C_n * frame.kappa3**2 - (w2 * frame.kappa1**2 + w3 * frame.kappa2**2) / 4.0
     if not np.all(np.isfinite(V)):
         raise SolverFail("reduced potential is not finite")
     V = V.copy()
     V.setflags(write=False)
-    return ReducedOperator(n, frame.s_grid, V)
+    h2 = float(frame.s_grid[1] - frame.s_grid[0]) ** 2
+    off = np.full(V.size - 3, -1.0 / h2)
+    L = sp.diags([off, 2.0 / h2 + V[1:-1], off], offsets=(-1, 0, 1), format="csr")
+    return ReducedOperator(n, frame.s_grid, V, L)
 
 
 def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
@@ -93,9 +86,8 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
     m_int = op.s_grid.size - 2
     if count + 1 > m_int:
         raise SolverFail(f"count {count} too large for {m_int} interior nodes")
-    L = op.matrix()
     lam, vecs = eigh_tridiagonal(
-        L.diagonal(), L.diagonal(1), select="i", select_range=(0, count)
+        op.L.diagonal(), op.L.diagonal(1), select="i", select_range=(0, count)
     )
     scale = max(np.abs(lam).max(), 1.0 / op.s0**2)
     gaps = np.diff(lam)
@@ -118,21 +110,19 @@ def solve_reduced(op: ReducedOperator, count: int) -> list[ReducedMode]:
 
 
 def deflated_reduced_resolvent(
-    op: ReducedOperator, mode: ReducedMode, rhs: np.ndarray, noise_floor: float = 0.0
+    op: ReducedOperator, mode: ReducedMode, rhs: np.ndarray, noise_floor: float
 ) -> tuple[np.ndarray, float]:
     """(u, defect): u with (L - lam0) u = P rhs, <u, Psi0> = 0, Dirichlet
     ends, and the rhs's solvability defect (see deflated_solve).
 
-    Accepts interior-length or full-grid rhs; u has the same shape.
-    The bordered LU is kept per (n, m) on the operator.
+    rhs and u are full-grid profiles; the end values of rhs are not read,
+    and those of u are zero.  The bordered LU is kept per (n, m) on the
+    operator.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    full = rhs.size == op.s_grid.size
-    r = rhs[1:-1] if full else rhs
-    if r.size != op.s_grid.size - 2:
-        raise ValueError("rhs length matches neither the grid nor its interior")
+    if rhs.shape != op.s_grid.shape:
+        raise ValueError(f"rhs shape {rhs.shape}, not the grid's {op.s_grid.shape}")
     (u,), defect = deflated_solve(
-        op.matrix(), mode.lam0, mode.Psi0[1:-1], op.h, r[None, :],
+        op.L, mode.lam0, mode.Psi0[1:-1], op.h, rhs[None, 1:-1],
         noise_floor, op._factors, (mode.n, mode.m),
     )
-    return (np.pad(u, 1) if full else u), defect
+    return np.pad(u, 1), defect

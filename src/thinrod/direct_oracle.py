@@ -349,11 +349,6 @@ class TransformedOperator:
     def n(self) -> int:
         return (self.M_s - 2) * self.n_omega
 
-    @property
-    def p(self) -> np.ndarray:
-        """Nodal weight 1 - eps q on the full grid."""
-        return 1.0 - self.eps * self.q
-
 
 def to_vector(op: TransformedOperator, field: np.ndarray) -> np.ndarray:
     """Flatten a full-grid (M_s, n_omega) field to the unknown vector."""
@@ -427,23 +422,22 @@ def _probe_field(op: TransformedOperator) -> np.ndarray:
     return to_field(op, z)
 
 
-def series_defect(
-    op: TransformedOperator, K: int, field: np.ndarray | None = None
-) -> float:
+def series_defect(op: TransformedOperator, K: int) -> float:
     """Residual of the eps-power-series identity for H, truncated at order K.
 
-    || H z - [eps^-2 S z - sum_{j=1..K} eps^{j-2} F_j z] || / ||H z||,
-    with F_1 from the asymptotic engine's F_1 stencil and the j >= 2 terms
-    from one call of its coupling sum on [eps^k z for k < K - 1], the
-    recurrence's Horner apply (no call for K = 1).  The tail is geometric
-    in eps*max|q| (the transverse block is exact for K >= 1); it reaches
-    the floating-point floor once (eps max|q|)^{K-1} does.
+    || H z - [eps^-2 S z - sum_{j=1..K} eps^{j-2} F_j z] || / ||H z||
+    on the fixed probe field z of :func:`_probe_field`, with F_1 from the
+    asymptotic engine's F_1 stencil and the j >= 2 terms from one call of
+    its coupling sum on [eps^k z for k < K - 1], the recurrence's Horner
+    apply (no call for K = 1).  The tail is geometric in eps*max|q| (the
+    transverse block is exact for K >= 1); it reaches the floating-point
+    floor once (eps max|q|)^{K-1} does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     spectrum = solve_section(op.grid, 2)
     ctx = engine.build_context(op.frame, spectrum)
-    Z = _probe_field(op) if field is None else np.asarray(field, float)
+    Z = _probe_field(op)
     z = to_vector(op, Z)
     acc = to_field(op, op.H @ z)
     acc[1:-1] -= op.eps**-2.0 * (spectrum.ops.S @ Z[1:-1].T).T
@@ -794,27 +788,24 @@ def solve_direct(
 def residual_certificate(
     op: TransformedOperator,
     lam_val: float,
-    psi,
+    v: np.ndarray,
     solution: DirectSolution | None = None,
 ):
-    """(rho, bound_check) for a candidate eigenpair (lam_val, psi).
+    """(rho, bound_check) for a candidate eigenpair (lam_val, v).
 
-    rho = ||B^-1/2 (H - lam_val B) psi|| / ||B^1/2 psi||, by :func:`_rho`,
-    for psi a full-grid field or an unknown vector.  Some eigenvalue of the
-    pencil lies within rho of lam_val; when `solution` is given and
-    lam_val + rho sits below its certified window edge, bound_check states
-    whether the nearest *computed* eigenvalue realizes that distance.  The
-    nearest is taken over the K requested eigenvalues and the guard Ritz
-    values above them (`ritz_all[K:]`), which set the window edge.  Outside
-    the window, or when the nearest value is a guard, which the solve
-    does not certify, the check is skipped (bound_check None) with an
-    UnderresolvedWindow warning.
+    rho = ||B^-1/2 (H - lam_val B) v|| / ||B^1/2 v||, by :func:`_rho`, for
+    v an unknown vector (:func:`to_vector` flattens a full-grid field).
+    Some eigenvalue of the pencil lies within rho of lam_val; when
+    `solution` is given and lam_val + rho sits below its certified window
+    edge, bound_check states whether the nearest *computed* eigenvalue
+    realizes that distance.  The nearest is taken over the K requested
+    eigenvalues and the guard Ritz values above them (`ritz_all[K:]`), which
+    set the window edge.  Outside the window, or when the nearest value is
+    a guard, which the solve does not certify, the check is skipped
+    (bound_check None) with an UnderresolvedWindow warning.
     """
-    v = np.asarray(psi, dtype=float)
-    if v.ndim == 2:
-        v = to_vector(op, v)
     if v.shape != (op.n,):
-        raise ValueError(f"expected field ({op.M_s}, {op.n_omega}) or vector ({op.n},)")
+        raise ValueError(f"expected an unknown vector ({op.n},), not {v.shape}")
     if not np.linalg.norm(v) > 0:
         raise ValueError("zero candidate eigenfunction")
     rho = float(_rho(op.H, op.B, v, lam_val))

@@ -6,9 +6,9 @@ sampler of `_sampled` from splines through a point list. build_frame
 calls it once, on the 2x refined grid whose even nodes are the s-grid.
 The frame is built by rotation-minimizing transport (RK4 on
 eta' = -(eta . tau') tau with re-orthonormalization per step), then
-twisted by the angle alpha(s) in the (eta, beta) plane. The Frenet
-frame is only used for the optional consistency check, since it does
-not exist on straight segments.
+twisted by the angle alpha(s) in the (eta, beta) plane. No Frenet
+frame is built, since it does not exist on straight segments; the check
+of the curvatures against Frenet quantities is in tests/test_geometry.py.
 
 Conventions: s_grid has M_s nodes including both endpoints,
 h = s0/(M_s-1). All derivative stencils are 4th order (central in the

@@ -446,6 +446,9 @@ def test_N_above_six_warns():
     spec = _square(n=12, center=(0.1, 0.0))
     with pytest.warns(UserWarning, match="N = 7"):
         run_recurrence(fr, spec, 1, 1, 7)
+    # and an order below 1 is refused
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        run_recurrence(fr, spec, 1, 1, 0)
 
 
 def test_higher_reduced_mode():

@@ -702,6 +702,15 @@ def _mask_config(tmp_path, data=None):
         (lambda t: write_config(
             t, {"thresholds": {"slope_min": 2.5, "slope_max": 1.5}}),
          "thresholds"),
+        # the prefix is a file-name stem inside --out: no directory part, and
+        # not a name that is empty or a directory of its own
+        (lambda t: write_config(t, {"output": {"prefix": "sub/run"}}),
+         "output.prefix"),
+        (lambda t: write_config(t, {"output": {"prefix": ""}}), "output.prefix"),
+        (lambda t: write_config(t, {"output": {"prefix": ".."}}), "output.prefix"),
+        (lambda t: write_config(t, {"output": {"prefix": "."}}), "output.prefix"),
+        (lambda t: write_config(t, {"output": {"prefix": "a\\b"}}), "output.prefix"),
+        (lambda t: write_config(t, {"output": {"prefix": "a\0b"}}), "output.prefix"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
@@ -711,7 +720,8 @@ def _mask_config(tmp_path, data=None):
          "s0-nan", "twist-rate-nan", "center-nan", "side-infinity",
          "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header",
          "section-kind-unknown", "mask-row-count", "mask-below-25-nodes",
-         "slope-window-empty"],
+         "slope-window-empty", "prefix-subdir", "prefix-empty", "prefix-dotdot",
+         "prefix-dot", "prefix-backslash", "prefix-nul"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,
@@ -743,10 +753,18 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
     monkeypatch.setattr(cli.oracle, "assemble", unreachable)
     monkeypatch.setattr(cli.oracle, "PencilFamily", unreachable)
     straight_disk = {**STRAIGHT, "section": DISK_HELIX["section"]}
-    for base, command, eps in (
-        (DISK_HELIX, "verify", 0.2),
-        (DISK_HELIX, "sweep", [0.2, 0.1]),
-        (straight_disk, "verify", 0.2),
+    # a 7 x 8 mask less two opposite corners has no mirror symmetry; a mask
+    # config has no section.n, so its refusal names the mask file
+    mask = tmp_path / "section.mask"
+    mask.write_text("7 8 0.125\n" + "\n".join(
+        ["00111111"] + ["11111111"] * 5 + ["11111100"]) + "\n")
+    mask_helix = {**HELIX, "section": {"kind": "mask", "path": str(mask)}}
+    for base, command, eps, field, advice in (
+        (DISK_HELIX, "verify", 0.2, "section.n", "lower section.n"),
+        (DISK_HELIX, "sweep", [0.2, 0.1], "section.n", "lower section.n"),
+        (straight_disk, "verify", 0.2, "section.n", "lower section.n"),
+        (mask_helix, "verify", 0.2, "section.path",
+         "use a mask file of fewer interior nodes in section.path"),
     ):
         path = write_config(tmp_path, {"epsilon": eps}, base=base)
         code, payload = run_main(
@@ -755,8 +773,9 @@ def test_main_exit_two_on_section_above_spectral_cutoff(
         assert code == 2
         (failure,) = payload["failures"]
         assert failure["kind"] == "config"
-        assert failure["path"] == "section.n"
+        assert failure["path"] == field
         assert "limit of 16" in failure["message"]
+        assert failure["message"].endswith("; " + advice)
 
 
 def test_square_helix_above_spectral_cutoff_still_solves(

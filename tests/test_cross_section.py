@@ -69,8 +69,25 @@ def test_normalization_and_orthogonality():
 def test_simplicity_guard():
     s = solve_section(square_grid(1.0, 24), 4)
     assert_simple(s, 1)
-    with pytest.raises(MultipleEigenvalue):
+    with pytest.raises(MultipleEigenvalue, match=r"relative gap .* <= 1e-06$"):
         assert_simple(s, 2)
+    # the gap above mode 4 needs mode 5, which is not stored; modes 0 and 5
+    # are not modes of the spectrum
+    with pytest.raises(IndexError, match="need mode 5 stored"):
+        assert_simple(s, 4)
+    for n in (0, 5):
+        with pytest.raises(IndexError, match=f"mode {n} not stored"):
+            s.mode(n)
+
+
+def test_solve_section_refuses_counts_outside_the_grid():
+    # 25 interior nodes: at least one mode, and at most 23, two spare
+    grid = square_grid(1.0, 5)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        solve_section(grid, 0)
+    with pytest.raises(SolverFail, match="count 24 too large for 25 interior nodes"):
+        solve_section(grid, 24)
+    assert solve_section(grid, 23).count == 23
 
 
 def test_disk_ground_state():
@@ -146,13 +163,13 @@ def test_stencil_symmetries():
 
 def test_deflated_resolvent_eigenbasis():
     s = solve_section(square_grid(1.0, 24), 4)
-    u, defect = deflated_resolvent(s, 1, s.phi[1])
+    (u,), defect = deflated_resolvent(s, 1, s.phi[1:2], 0.0)
     assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
     assert abs(s.h**2 * np.sum(u * s.phi[0])) < 1e-12
     assert defect < 1e-14
     # a 1e-10 part along phi_1 passes the 1e-8 check, is returned as the
     # defect and is projected off: the solution is that of phi_2 alone
-    u, defect = deflated_resolvent(s, 1, s.phi[1] + 1e-10 * s.phi[0])
+    (u,), defect = deflated_resolvent(s, 1, s.phi[1:2] + 1e-10 * s.phi[0:1], 0.0)
     assert defect == pytest.approx(1e-10, rel=1e-5)
     assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
 
@@ -163,13 +180,13 @@ def test_deflated_resolvent_roundtrip():
     w = rng.standard_normal(s.phi[0].size)
     w -= s.h**2 * np.sum(w * s.phi[0]) * s.phi[0]
     rhs = s.ops.S @ w - s.lam[0] * w
-    u, _ = deflated_resolvent(s, 1, rhs)
+    (u,), _ = deflated_resolvent(s, 1, rhs[None, :], 0.0)
     assert np.abs(u - w).max() < 1e-10 * np.abs(w).max()
 
 
 def test_deflated_resolvent_batch():
     s = solve_section(square_grid(1.0, 24), 3)
-    U, _ = deflated_resolvent(s, 1, s.phi[1:3])
+    U, _ = deflated_resolvent(s, 1, s.phi[1:3], 0.0)
     assert U.shape == (2, s.phi[0].size)
     assert np.abs(U[0] - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
 
@@ -180,7 +197,7 @@ def test_solvability_violation():
     for grid in (square_grid(1.0, 24), mask_grid(RECTANGLE), disk_grid(1.0, 24)):
         s = solve_section(grid, 1)
         with pytest.raises(SolvabilityViolation):
-            deflated_resolvent(s, 1, s.phi[0])
+            deflated_resolvent(s, 1, s.phi[0:1], 0.0)
         assert not s._factors  # refused before any solver is built
 
 
@@ -230,7 +247,7 @@ def test_double_eigenvalue_fails_the_residual_guard():
         rows = np.random.default_rng(5).standard_normal((4, phi.size))
         rows -= (w * (rows @ phi))[:, None] * phi[None, :]
         with pytest.raises(SolverFail, match=residual):
-            deflated_resolvent(s, 2, rows)  # closed form
+            deflated_resolvent(s, 2, rows, 0.0)  # closed form
         with pytest.raises(SolverFail, match="residual"):
             deflated_solve(s.ops.S, lam, phi, w, rows, 0.0, {}, 2)  # bordered LU
 
@@ -257,7 +274,7 @@ def test_sine_resolvent_matches_bordered_lu(n, monkeypatch):
     rows = np.random.default_rng(n).standard_normal((62, phi.size))
     rows -= (w * (rows @ phi))[:, None] * phi[None, :]
     built = _count_bordered_lu(monkeypatch)
-    u, _ = deflated_resolvent(s, n, rows)
+    u, _ = deflated_resolvent(s, n, rows, 0.0)
     assert not built
     ref, _ = deflated_solve(s.ops.S, lam, phi, w, rows, 0.0, {}, n)
     assert len(built) == 1
@@ -379,7 +396,8 @@ def test_parity_preconditioner_equals_the_dense_eigenbasis_one(kind):
 def test_section_size_limit_counts_the_parity_blocks():
     # sum(block^2) <= 4096^2: a disk is accepted up to section.n 101 and
     # refused at 102, a mask with no mirror symmetry above 4096 nodes, with
-    # the message of a single dense basis
+    # the message of a single dense basis; the advice names the field to
+    # change, section.n for the disk and the mask file for the mask
     assert disk_grid(0.5, 101).n_interior == 8161
     cross_section._check_section_size(disk_grid(0.5, 101))
     with pytest.raises(SolverFail, match=(
@@ -398,7 +416,7 @@ def test_section_size_limit_counts_the_parity_blocks():
     assert str(exc.value) == (
         "section has 4224 interior nodes, above the limit of 4096 for the "
         "dense section eigenbasis the direct solve needs on a non-rectangular "
-        "section; lower section.n"
+        "section; use a mask file of fewer interior nodes in section.path"
     )
     mask[0, -1] = mask[-1, 0] = mask[-1, -1] = False
     cross_section._check_section_size(_finish_grid("mask", 0.01, mask, x, x))
@@ -427,7 +445,7 @@ def test_disk_resolvent_caches_a_bordered_lu(monkeypatch):
     s = solve_section(disk_grid(1.0, 24), 3)
     built = _count_bordered_lu(monkeypatch)
     for _ in range(2):
-        u, _ = deflated_resolvent(s, 1, s.phi[1])
+        (u,), _ = deflated_resolvent(s, 1, s.phi[1:2], 0.0)
         assert np.abs(u - s.phi[1] / (s.lam[1] - s.lam[0])).max() < 1e-12
     assert len(built) == 1 and list(s._factors) == [1]
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thinrod.curve_operator import (
     ReducedOperator,
@@ -9,7 +10,7 @@ from thinrod.curve_operator import (
     deflated_reduced_resolvent,
     solve_reduced,
 )
-from thinrod.errors import DegenerateReduced, SolvabilityViolation
+from thinrod.errors import DegenerateReduced, SolvabilityViolation, SolverFail
 from thinrod.geometry import CurveSpec, build_frame
 
 C1_SQUARE = np.pi**2 / 6 - 1.5
@@ -31,6 +32,10 @@ def test_potential_straight_twisted_constant():
     fr = build_frame(CurveSpec("straight", s0=np.pi, twist="linear", twist_rate=c), 64)
     op = build_reduced(fr, C1_SQUARE)
     assert np.abs(op.V - C1_SQUARE * c**2).max() < 1e-6
+    # a C_n that is not finite makes no potential
+    for bad in (np.inf, np.nan):
+        with pytest.raises(SolverFail, match="reduced potential is not finite"):
+            build_reduced(fr, bad)
 
 
 def test_potential_arc_constant_shift():
@@ -86,22 +91,25 @@ def test_deflated_reduced_eigenbasis_and_roundtrip():
     )
     op = build_reduced(fr, 0.2)
     m1, m2 = solve_reduced(op, 2)
-    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0)
+    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0, 0.0)
     assert defect < 1e-14
     assert np.abs(u - m2.Psi0 / (m2.lam0 - m1.lam0)).max() < 1e-10
     assert abs(op.h * np.sum(u[1:-1] * m1.Psi0[1:-1])) < 1e-12
     # a 1e-10 part along Psi_1 is the returned defect and is projected off
-    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0 + 1e-10 * m1.Psi0)
+    u, defect = deflated_reduced_resolvent(op, m1, m2.Psi0 + 1e-10 * m1.Psi0, 0.0)
     assert defect == pytest.approx(1e-10, rel=1e-5)
     assert np.abs(u - m2.Psi0 / (m2.lam0 - m1.lam0)).max() < 1e-10
 
     rng = np.random.default_rng(11)
     w = rng.standard_normal(op.s_grid.size - 2)
     w -= op.h * np.sum(w * m1.Psi0[1:-1]) * m1.Psi0[1:-1]
-    rhs = op.matrix() @ w - m1.lam0 * w
-    u, _ = deflated_reduced_resolvent(op, m1, rhs)
-    assert u.size == w.size
-    assert np.abs(u - w).max() < 1e-9 * np.abs(w).max()
+    rhs = op.L @ w - m1.lam0 * w
+    u, _ = deflated_reduced_resolvent(op, m1, np.pad(rhs, 1), 0.0)
+    assert u.size == w.size + 2 and u[0] == u[-1] == 0.0
+    assert np.abs(u[1:-1] - w).max() < 1e-9 * np.abs(w).max()
+    # the profile lives on the full grid; an interior-length one is refused
+    with pytest.raises(ValueError, match="not the grid's"):
+        deflated_reduced_resolvent(op, m1, rhs, 0.0)
 
 
 def test_deflated_reduced_solvability_violation():
@@ -109,7 +117,7 @@ def test_deflated_reduced_solvability_violation():
     op = build_reduced(fr, 0.0)
     md = solve_reduced(op, 1)[0]
     with pytest.raises(SolvabilityViolation):
-        deflated_reduced_resolvent(op, md, md.Psi0)
+        deflated_reduced_resolvent(op, md, md.Psi0, 0.0)
 
 
 def test_each_mode_carries_its_gap_to_the_next():
@@ -122,6 +130,13 @@ def test_each_mode_carries_its_gap_to_the_next():
     for k, md in enumerate(modes):
         ref = wider[k + 1].lam0 - wider[k].lam0
         assert md.gap == pytest.approx(ref, rel=1e-12)
+    # so on the 62 interior nodes at most 61 modes fit, and at least one
+    # must be asked for
+    assert len(solve_reduced(op, 61)) == 61
+    with pytest.raises(SolverFail, match="count 62 too large for 62 interior nodes"):
+        solve_reduced(op, 62)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        solve_reduced(op, 0)
 
 
 def test_symmetric_double_well_is_degenerate():
@@ -130,5 +145,8 @@ def test_symmetric_double_well_is_degenerate():
     s = np.linspace(0.0, 3.0, 61)
     V = np.zeros(61)
     V[21:40] = 1e4  # symmetric about the middle node, 30
+    h2 = (s[1] - s[0]) ** 2
+    off = np.full(58, -1.0 / h2)
+    L = sp.diags([off, 2.0 / h2 + V[1:-1], off], offsets=(-1, 0, 1), format="csr")
     with pytest.raises(DegenerateReduced, match="section mode 1, reduced modes 1,2"):
-        solve_reduced(ReducedOperator(1, s, V), 2)
+        solve_reduced(ReducedOperator(1, s, V, L), 2)

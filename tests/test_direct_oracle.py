@@ -210,7 +210,8 @@ def test_assemble_rejects_large_epsilon():
 
 def test_weight_minimum_matches_tilt_maximum():
     op = _helix_op(eps=0.25)
-    assert op.p.min() == 1.0 - 0.25 * op.q.max()
+    # B is the weight 1 - eps q on the interior nodes
+    assert op.B.min() == 1.0 - 0.25 * op.q[1:-1].max()
     lo, hi = operator_checks(op)["b_range"]
     assert 0.5 < lo <= hi < 1.5
 
@@ -226,6 +227,8 @@ def test_series_defect_decays_geometrically():
     op = _helix_op(eps=0.25)
     x = 0.25 * np.abs(op.q).max()
     d = {K: series_defect(op, K) for K in (1, 2, 4, 6, 40)}
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        series_defect(op, 0)
     assert d[2] < d[1] * 8 * x
     assert d[4] < d[2] * 8 * x**2
     assert d[6] < d[4] * 8 * x**2
@@ -280,6 +283,12 @@ def test_straight_rod_eigenvalues_are_separable_sums():
     assert np.all(np.diff(sol.lam) > 0)
     gram = sol.vectors.T @ (op.B[:, None] * sol.vectors)
     assert np.abs(gram - np.eye(4)).max() < 1e-8
+    # a bent rod (q nonzero) and a twisted one (kappa3 nonzero) do not split
+    for spec in (CurveSpec("circular_arc", s0=np.pi, radius=2.0),
+                 CurveSpec("straight", s0=np.pi, twist="linear", twist_rate=0.8)):
+        bent = assemble(build_frame(spec, 20), square_grid(1.0, 10), 0.2)
+        with pytest.raises(ValueError, match="straight untwisted rod"):
+            separable_eigenvalues(bent, 4)
 
 
 def test_iterative_solver_matches_dense_solver():
@@ -754,11 +763,11 @@ def test_certificate_on_exact_eigenpair():
     assert rho < 1e-8
     assert ok is True
     assert np.abs(sol.lam - sol.lam[0]).min() == 0.0 <= rho
-    # a full-grid field gives the same certificate; without a solution
-    # there is nothing to check the bound against
-    field = to_field(op, sol.vectors[:, 0])
-    assert residual_certificate(op, float(sol.lam[0]), field, sol) == (rho, ok)
-    assert residual_certificate(op, float(sol.lam[0]), field) == (rho, None)
+    # a full-grid field, flattened, gives the same certificate; without a
+    # solution there is nothing to check the bound against
+    v = to_vector(op, to_field(op, sol.vectors[:, 0]))
+    assert residual_certificate(op, float(sol.lam[0]), v, sol) == (rho, ok)
+    assert residual_certificate(op, float(sol.lam[0]), v) == (rho, None)
 
 
 def test_certificate_distance_bound_holds_for_any_quasimode():
@@ -785,8 +794,12 @@ def test_certificate_warns_outside_window():
 
 def test_certificate_rejects_zero_candidate():
     op = _helix_op(eps=0.2, n=10, M_s=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero candidate"):
         residual_certificate(op, 1.0, np.zeros(op.n))
+    # the candidate is an unknown vector; a full-grid field is refused
+    field = to_field(op, np.ones(op.n))
+    with pytest.raises(ValueError, match="expected an unknown vector"):
+        residual_certificate(op, 1.0, field)
 
 
 # ----------------------------------------------------------------------

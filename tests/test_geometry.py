@@ -109,6 +109,10 @@ def test_diff4_fourth_order(order):
         exact = np.sin(x + order * np.pi / 2)
         errs.append(np.abs(d - exact).max())
     assert errs[0] / errs[1] > 12.0
+    # the one-sided end stencils need order + 4 nodes
+    diff4(np.sin(x[: order + 4]), x[1] - x[0], order=order)
+    with pytest.raises(ValueError, match=f"needs at least {order + 4} nodes"):
+        diff4(np.sin(x[: order + 3]), x[1] - x[0], order=order)
 
 
 def test_straight_frame_trivial():
