@@ -9,21 +9,26 @@ are printed as a machine-readable JSON list and yield exit code 1
 (2 for configuration or solver errors, and for any other exception, which
 is reported as an "internal" failure instead of a traceback).
 
-Config schema (unknown fields are rejected, naming the offending path;
-list entries must be numbers, and an error names the entry, e.g.
+Config schema (unknown fields, and fields the chosen curve, twist or
+section kind does not read, are rejected, naming the offending path; list
+entries must be numbers, and an error names the entry, e.g.
 `section.center[1]`; a number must be finite, so NaN and Infinity, which
 json reads, are refused, and an integer must lie below 2**31 in magnitude;
 a mask file that cannot be read or parsed is an error on `section.path`):
 
     {
-      "curve":   {"kind": "straight" | "circular_arc" | "helix" | "sampled",
-                  "s0": float, "radius": float, "a": float, "b": float,
-                  "points": [[x,y,z], ...],
-                  "twist": "none" | "linear" | "tabulated",
-                  "twist_rate": float, "twist_values": [float, ...]},
-      "section": {"kind": "square" | "disk" | "mask", "side": float,
-                  "radius": float, "n": int, "center": [float, float],
-                  "path": "mask-file"},
+      "curve":   {"kind": "straight"      with "s0": float
+                        | "circular_arc"  with "s0", "radius": float
+                        | "helix"         with "s0", "a", "b": float
+                        | "sampled"       with "points": [[x,y,z], ...],
+                  "twist": "none" (default)
+                         | "linear"     with "twist_rate": float
+                         | "tabulated"  with "twist_values": [float, ...]},
+      "section": {"kind": "square"  with "side": float, "n": int,
+                                         "center": [float, float]
+                        | "disk"    with "radius": float, "n": int,
+                                         "center": [float, float]
+                        | "mask"    with "path": "mask-file"},
       "M_s":     int   (>= 16, default 256, grid nodes along the curve),
       "modes":   [[n, m], ...]  (distinct; 1 <= n <= interior section
                                  nodes - 3, 1 <= m <= M_s - 3;
@@ -60,7 +65,6 @@ import argparse
 import ctypes
 import json
 import sys
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -76,7 +80,7 @@ from .cross_section import (
     square_grid,
 )
 from .curve_operator import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it)
-from .errors import ConfigError, SolverFail, ThinRodError, UnderresolvedWindow
+from .errors import ConfigError, SolverFail, ThinRodError
 from .geometry import CurveSpec, build_frame
 
 _DEFAULT_ORDER = 4
@@ -84,9 +88,9 @@ _DEFAULT_M_S = 256
 _DEFAULT_SECTION_N = 96
 _DEFAULT_RHO_SLOPE_MIN = 1.5
 
-# the verify/sweep CSV columns, read from each JSON row: m as an integer,
-# the rest with _f17
-_VERIFY_COLUMNS = ("eps", "m", "lambda_direct", "lambda_partial", "abs_gap",
+# the verify/sweep CSV columns, read from each JSON row: n and m as
+# integers, the rest with _f17
+_VERIFY_COLUMNS = ("eps", "n", "m", "lambda_direct", "lambda_partial", "abs_gap",
                    "residual_rho", "sin_angle")
 _EXPAND_HEADER = "n,m,i,lambda_i"
 
@@ -124,10 +128,10 @@ class RunConfig:
     thresholds: dict
 
 
-def _reject_unknown(d: dict, allowed, path: str) -> None:
+def _reject_unknown(d: dict, allowed, path: str, message="unknown field") -> None:
     for key in d:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+            raise ConfigError(f"{path}.{key}" if path else key, message)
 
 
 def _check(v, kind, where):
@@ -170,16 +174,15 @@ def _vector(v, where, size=None) -> np.ndarray:
 
 
 def _parse_curve(d: dict) -> CurveSpec:
-    _reject_unknown(
-        d,
-        {"kind", "s0", "radius", "a", "b", "points", "twist", "twist_rate",
-         "twist_values"},
-        "curve",
-    )
     kind = _get(d, "kind", str, "curve", required=True)
-    if kind not in ("straight", "circular_arc", "helix", "sampled"):
+    fields = {"straight": {"s0"}, "circular_arc": {"s0", "radius"},
+              "helix": {"s0", "a", "b"}, "sampled": {"points"}}.get(kind)
+    if fields is None:
         raise ConfigError("curve.kind", f"unknown curve kind {kind!r}")
     twist = _get(d, "twist", str, "curve", default="none")
+    twist_fields = {"linear": {"twist_rate"}, "tabulated": {"twist_values"}}
+    _reject_unknown(d, {"kind", "twist"} | fields | twist_fields.get(twist, set()),
+                    "curve", f"not read by a {kind} curve with twist {twist!r}")
     points = _get(d, "points", list, "curve")
     if points is not None:
         points = np.array(
@@ -200,17 +203,19 @@ def _parse_curve(d: dict) -> CurveSpec:
 
 
 def _parse_section(d: dict):
-    _reject_unknown(d, {"kind", "side", "radius", "n", "center", "path"}, "section")
     kind = _get(d, "kind", str, "section", required=True)
+    fields = {"square": {"side", "n", "center"}, "disk": {"radius", "n", "center"},
+              "mask": {"path"}}.get(kind)
+    if fields is None:
+        raise ConfigError("section.kind", f"unknown section kind {kind!r}")
+    _reject_unknown(d, {"kind"} | fields, "section", f"not read by a {kind} section")
+    if kind == "mask":
+        return mask_grid(_get(d, "path", str, "section", required=True))
     n = _get(d, "n", int, "section", default=_DEFAULT_SECTION_N)
     center = tuple(_vector(d.get("center", [0.0, 0.0]), "section.center", 2))
     if kind == "square":
         return square_grid(_get(d, "side", float, "section", default=1.0), n, center)
-    if kind == "disk":
-        return disk_grid(_get(d, "radius", float, "section", default=0.5), n, center)
-    if kind == "mask":
-        return mask_grid(_get(d, "path", str, "section", required=True))
-    raise ConfigError("section.kind", f"unknown section kind {kind!r}")
+    return disk_grid(_get(d, "radius", float, "section", default=0.5), n, center)
 
 
 def parse_config(path) -> RunConfig:
@@ -506,7 +511,9 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
 
     Returns the report entries `eigenpairs_computed`, `residual_targets`
     ([eps, the residual target its solve certified], in solve order),
-    `rows`, `warnings` (UnderresolvedWindow messages) and `failures`.
+    `rows`, `warnings` (the notes `oracle.compare` returns for the rows
+    whose certificate the computed window cannot check, in row order) and
+    `failures`.
     """
     _pin_heap_thresholds()
     try:
@@ -521,7 +528,7 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
     ]
     family = oracle.PencilFamily(cfg.frame, cfg.grid)
     K = _auto_count(cfg, family)
-    rows, failures, window_warnings, targets = [], [], [], []
+    rows, failures, notes, targets = [], [], [], []
     for eps in eps_list:
         op = family.assemble(eps)
         sol = oracle.solve_direct(
@@ -530,21 +537,17 @@ def _certify(cfg: RunConfig, out_dir: Path, eps_list) -> dict:
         if cfg.dump_matrix:
             out_dir.mkdir(parents=True, exist_ok=True)
             oracle.dump_matrix(op, out_dir / f"{cfg.prefix}_H_eps{eps!r}.mtx")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            eps_rows = oracle.compare(sol, states)
+        eps_rows, eps_notes = oracle.compare(sol, states)
         targets.append([eps, sol.target])
         del op, sol  # free this eps's pencil and eigenvectors before the next
-        for c in caught:
-            if issubclass(c.category, UnderresolvedWindow):
-                window_warnings.append(str(c.message))
+        notes.extend(eps_notes)
         failures.extend(_row_failures(eps_rows))
         rows.extend(asdict(r) for r in eps_rows)
     return {
         "eigenpairs_computed": K,
         "residual_targets": targets,
         "rows": rows,
-        "warnings": window_warnings,
+        "warnings": notes,
         "failures": failures,
     }
 
@@ -555,7 +558,8 @@ def _write_report(
     """Write `<prefix>_<command>.csv` (one line per entry of `rows`) and its
     JSON report; return the failures."""
     lines = [",".join(_VERIFY_COLUMNS)] + [
-        ",".join(str(r[c]) if c == "m" else _f17(r[c]) for c in _VERIFY_COLUMNS)
+        ",".join(str(r[c]) if c in ("n", "m") else _f17(r[c])
+                 for c in _VERIFY_COLUMNS)
         for r in entries["rows"]
     ]
     report = {
@@ -575,7 +579,8 @@ def cmd_verify(cfg: RunConfig, out_dir) -> list:
     """Single-epsilon comparison of the expansion against the direct solve.
 
     Writes the per-mode table `<prefix>_verify.csv` and a JSON report with
-    certificates, any window warnings and the solve's residual target.
+    certificates, the notes of any row left unchecked (`warnings`) and the
+    solve's residual target.
     Returns the failure list.
     """
     if not cfg.epsilons or len(cfg.epsilons) != 1:
@@ -710,10 +715,11 @@ def _selftest_checks():
                                    twist_rate=0.8), 20)
         op = oracle.assemble(fr, square_grid(1.0, 10), 0.2)
         sol = oracle.solve_direct(op, 3)
-        rho, ok = oracle.residual_certificate(
+        rho, ok, note = oracle.residual_certificate(
             op, float(sol.lam[0]), sol.vectors[:, 0], sol
         )
-        _expect(rho < 1e-8 and ok is True, f"rho {rho:.3e}, bound check {ok}")
+        _expect(rho < 1e-8 and ok is True and note is None,
+                f"rho {rho:.3e}, bound check {ok}, note {note}")
 
     @check("closed-form lambda_1 matches the recurrence")
     def _(tmp):

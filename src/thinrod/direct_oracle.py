@@ -72,7 +72,6 @@ need not converge.
 from __future__ import annotations
 
 import functools
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -89,7 +88,7 @@ from .cross_section import (
     section_basis,
     solve_section,
 )
-from .errors import SolverFail, UnderresolvedWindow
+from .errors import SolverFail
 from .geometry import FrameField
 
 __all__ = [
@@ -791,7 +790,7 @@ def residual_certificate(
     v: np.ndarray,
     solution: DirectSolution | None = None,
 ):
-    """(rho, bound_check) for a candidate eigenpair (lam_val, v).
+    """(rho, bound_check, note) for a candidate eigenpair (lam_val, v).
 
     rho = ||B^-1/2 (H - lam_val B) v|| / ||B^1/2 v||, by :func:`_rho`, for
     v an unknown vector (:func:`to_vector` flattens a full-grid field).
@@ -801,8 +800,8 @@ def residual_certificate(
     realizes that distance.  The nearest is taken over the K requested
     eigenvalues and the guard Ritz values above them (`ritz_all[K:]`), which
     set the window edge.  Outside the window, or when the nearest value is
-    a guard, which the solve does not certify, the check is skipped
-    (bound_check None) with an UnderresolvedWindow warning.
+    a guard, which the solve does not certify, the check is skipped:
+    bound_check is None and note says why.  Otherwise note is None.
     """
     if v.shape != (op.n,):
         raise ValueError(f"expected an unknown vector ({op.n},), not {v.shape}")
@@ -810,29 +809,23 @@ def residual_certificate(
         raise ValueError("zero candidate eigenfunction")
     rho = float(_rho(op.H, op.B, v, lam_val))
     if solution is None:
-        return rho, None
+        return rho, None, None
     if not lam_val + rho < solution.window_guard:
-        warnings.warn(
-            UnderresolvedWindow(
-                f"candidate {lam_val:.6g} + rho {rho:.3g} reaches past the "
-                f"computed window edge {solution.window_guard:.6g}; "
-                "compute more eigenpairs to certify"
-            )
+        return rho, None, (
+            f"candidate {lam_val:.6g} + rho {rho:.3g} reaches past the "
+            f"computed window edge {solution.window_guard:.6g}; "
+            "compute more eigenpairs to certify"
         )
-        return rho, None
     K = solution.lam.size
     computed = np.concatenate([solution.lam, solution.ritz_all[K:]])
     j = int(np.argmin(np.abs(computed - lam_val)))
     if j >= K:
-        warnings.warn(
-            UnderresolvedWindow(
-                f"candidate {lam_val:.6g} lies nearest the guard value "
-                f"{computed[j]:.6g}, above the {K} requested eigenpairs; "
-                "raise solver.count to certify"
-            )
+        return rho, None, (
+            f"candidate {lam_val:.6g} lies nearest the guard value "
+            f"{computed[j]:.6g}, above the {K} requested eigenpairs; "
+            "raise solver.count to certify"
         )
-        return rho, None
-    return rho, bool(abs(computed[j] - lam_val) <= rho)
+    return rho, bool(abs(computed[j] - lam_val) <= rho), None
 
 
 @dataclass
@@ -853,14 +846,16 @@ class CompareRow:
     flags: list = field(default_factory=list)
 
 
-def compare(solution: DirectSolution, states) -> list[CompareRow]:
+def compare(solution: DirectSolution, states) -> tuple[list[CompareRow], list[str]]:
     """Pair expansion partial sums with the direct eigenpairs.
 
-    Each expansion state contributes one row, in the order given: its
-    partial sum at the operator's eps is matched to the nearest computed
-    eigenvalue, the eigenfunction alignment is measured as sin of the
-    B-weighted angle, and the residual certificate is evaluated (it warns
-    UnderresolvedWindow when the computed window cannot certify the row).
+    Returns (rows, notes).  Each expansion state contributes one
+    :class:`CompareRow`, in the order given: its partial sum at the
+    operator's eps is matched to the nearest computed eigenvalue, the
+    eigenfunction alignment is measured as sin of the B-weighted angle, and
+    the residual certificate is evaluated.  `notes` holds, in row order,
+    the reason of every row whose certificate the computed window cannot
+    check (its `bound_ok` is None).
     The sine is the B-norm of the partial sum's part B-orthogonal to the
     eigenvector over the partial sum's B-norm, which resolves angles far
     below the 1.5e-8 at which sqrt(1 - cos^2) cancels to 0.  Non-injective
@@ -869,7 +864,7 @@ def compare(solution: DirectSolution, states) -> list[CompareRow]:
     """
     op = solution.op
     eps, Bd = op.eps, op.B
-    rows = []
+    rows, notes = [], []
     for st in states:
         lam_p, psi_p = engine.partial_sums(st, eps)
         v = to_vector(op, psi_p)
@@ -877,7 +872,9 @@ def compare(solution: DirectSolution, states) -> list[CompareRow]:
         u = solution.vectors[:, j]
         r = v - (v @ (Bd * u)) / (u @ (Bd * u)) * u
         sin_angle = np.sqrt((r @ (Bd * r)) / (v @ (Bd * v)))
-        rho, bound_ok = residual_certificate(op, lam_p, v, solution)
+        rho, bound_ok, note = residual_certificate(op, lam_p, v, solution)
+        if note is not None:
+            notes.append(note)
         others = np.abs(np.delete(solution.lam, j) - solution.lam[j])
         rows.append(
             CompareRow(
@@ -898,7 +895,7 @@ def compare(solution: DirectSolution, states) -> list[CompareRow]:
     for r in rows:
         if shared[r.match_index] > 1:
             r.flags.append("pairing")
-    return rows
+    return rows, notes
 
 
 def separable_eigenvalues(op: TransformedOperator, count: int):

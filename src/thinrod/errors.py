@@ -47,7 +47,3 @@ class ConfigError(ThinRodError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class UnderresolvedWindow(UserWarning):
-    """Fewer direct eigenpairs computed than expansion modes requested."""

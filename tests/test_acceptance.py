@@ -56,14 +56,15 @@ def helix_bundle():
     frame = build_frame(HELIX_TWIST, 192)
     spectrum = solve_section(square_grid(1.0, 40, center=(0.12, -0.07)), 4)
     states = [engine.run_recurrence(frame, spectrum, 1, m, 3) for m in (1, 2, 3)]
-    rows = {}
+    rows, notes = {}, {}
     for eps in (0.2, 0.1, 0.05):
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 5)
-        rows[eps] = oracle.compare(sol, states)
+        rows[eps], notes[eps] = oracle.compare(sol, states)
     return {
         "states": states,
         "rows": rows,
+        "notes": notes,
         "epsilons": (0.2, 0.1, 0.05),
         "elapsed": time.monotonic() - t_start,
     }
@@ -274,6 +275,7 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
     # would disprove the solve, not the bound
     certified = 0
     for eps, rows in helix_bundle["rows"].items():
+        assert helix_bundle["notes"][eps] == [], eps
         for row in rows:
             assert row.bound_ok is not False, (eps, row.m, row.abs_gap,
                                                row.residual_rho)
@@ -294,7 +296,9 @@ def test_criterion_7_certificates_bound_spectrum(helix_bundle):
         states = [engine.run_recurrence(frame, spectrum, 1, m, 4) for m in (1, 2)]
         op = oracle.assemble(frame, spectrum.grid, eps)
         sol = oracle.solve_direct(op, 4)
-        for row in oracle.compare(sol, states):
+        rows, notes = oracle.compare(sol, states)
+        assert notes == [], (curve.kind, notes)
+        for row in rows:
             assert row.bound_ok is True, (curve.kind, row.m)
             assert row.abs_gap <= row.residual_rho
             certified += 1

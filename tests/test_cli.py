@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,10 @@ DISK_HELIX = {
 # five points on the unit helix (pitch 0.15 per 0.3 rad)
 HELIX_POINTS = [[1.0, 0.0, 0.0], [0.9553, 0.2955, 0.15], [0.8253, 0.5646, 0.3],
                 [0.6216, 0.7833, 0.45], [0.3624, 0.932, 0.6]]
+
+
+# an 11 x 17 full rectangular mask
+RECTANGLE = Path(__file__).parent / "data" / "rectangle_11x17.mask"
 
 
 def write_config(tmp_path, overrides=None, base=STRAIGHT, name="cfg.json"):
@@ -116,6 +121,11 @@ def test_missing_and_mistyped_fields(tmp_path):
     assert config_error(tmp_path, {"M_s": "many"}).path == "M_s"
     assert config_error(tmp_path, {"curve": {"kind": "zigzag", "s0": 1.0}}
                         ).path == "curve.kind"
+    # an unknown kind is refused on the kind, before the fields it would read
+    assert config_error(tmp_path, {"curve": {"kind": "zigzag", "radius": 1.0}}
+                        ).path == "curve.kind"
+    assert config_error(tmp_path, {"section": {"kind": "hexagon", "path": "x"}}
+                        ).path == "section.kind"
     assert config_error(tmp_path, {"order": 0}).path == "order"
     assert config_error(
         tmp_path, {"section": {"kind": "square", "center": [0.0]}}
@@ -286,7 +296,9 @@ def test_verify_straight_passes_and_matches_header(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, {"epsilon": 0.2}))
     assert cli.cmd_verify(cfg, tmp_path) == []
     lines = (tmp_path / "thinrod_verify.csv").read_text().splitlines()
-    assert lines[0] == "eps,m,lambda_direct,lambda_partial,abs_gap,residual_rho,sin_angle"
+    assert lines[0] == (
+        "eps,n,m,lambda_direct,lambda_partial,abs_gap,residual_rho,sin_angle"
+    )
     assert len(lines) == 3
     report = json.loads((tmp_path / "thinrod_verify.json").read_text())
     assert report["ok"] is True
@@ -309,7 +321,7 @@ def test_verify_requires_exactly_one_epsilon(tmp_path):
 
 def test_verify_underresolved_window_is_reported(tmp_path):
     # one computed eigenpair cannot certify the sixth axial mode: the
-    # report must carry the window warning and leave the bound unchecked
+    # report must carry the window note and leave the bound unchecked
     cfg = cli.parse_config(
         write_config(tmp_path, {"epsilon": 0.2, "modes": [[1, 6]],
                                 "solver": {"count": 1}})
@@ -317,7 +329,7 @@ def test_verify_underresolved_window_is_reported(tmp_path):
     failures = cli.cmd_verify(cfg, tmp_path)
     assert failures == []
     report = json.loads((tmp_path / "thinrod_verify.json").read_text())
-    assert report["warnings"], "expected an underresolved-window warning"
+    assert report["warnings"], "expected an underresolved-window note"
     assert report["rows"][0]["bound_ok"] is None
 
 
@@ -361,7 +373,7 @@ def test_verify_flags_each_row_of_a_shared_match_once(tmp_path, capsys):
     assert [row["flags"] for row in report["rows"]] == [["pairing"]] * 3
     # the partial sums of (1, 2) and (1, 3) lie nearest guard Ritz values,
     # which the solve does not certify: their checks are skipped with a
-    # warning naming solver.count, not failed against the one computed pair
+    # note naming solver.count, not failed against the one computed pair
     assert [row["bound_ok"] for row in report["rows"]] == [True, None, None]
     assert not [f for f in payload["failures"] if f["kind"] == "certificate"]
     guards = [w for w in report["warnings"] if "guard value" in w]
@@ -536,10 +548,9 @@ def test_sweep_certifies_the_second_branch_on_a_rectangle(tmp_path, capsys):
     # (2, 2) certify like (1, 1); its unequal sides run both users of the
     # sine basis, the preconditioner and the section resolvent (measured:
     # 26 pairs, gap slopes 2.000 / 2.015 / 2.035, (2, 1) at index 22)
-    rectangle = Path(__file__).parent / "data" / "rectangle_11x17.mask"
     path = write_config(
         tmp_path,
-        {"section": {"kind": "mask", "path": str(rectangle)}, "M_s": 24,
+        {"section": {"kind": "mask", "path": str(RECTANGLE)}, "M_s": 24,
          "modes": [[1, 1], [2, 1], [2, 2]], "epsilon": [0.2, 0.1]},
         base=HELIX,
     )
@@ -552,6 +563,10 @@ def test_sweep_certifies_the_second_branch_on_a_rectangle(tmp_path, capsys):
     for row in report["rows"]:
         assert row["flags"] == [] and row["bound_ok"] is True
     assert sorted(report["slopes"]) == ["n1_m1", "n2_m1", "n2_m2"]
+    # the CSV names each row's mode by n and m: (2, 1) is not (1, 1)
+    lines = (tmp_path / "thinrod_sweep.csv").read_text().splitlines()
+    assert [tuple(map(int, line.split(",")[1:3])) for line in lines[1:]] == [
+        (1, 1), (2, 1), (2, 2)] * 2
     for fit in report["slopes"].values():
         assert 1.5 <= fit["gap"] <= 2.5  # the default window at order 3
 
@@ -711,6 +726,52 @@ def _mask_config(tmp_path, data=None):
         (lambda t: write_config(t, {"output": {"prefix": "."}}), "output.prefix"),
         (lambda t: write_config(t, {"output": {"prefix": "a\\b"}}), "output.prefix"),
         (lambda t: write_config(t, {"output": {"prefix": "a\0b"}}), "output.prefix"),
+        # a field the chosen kind never reads is refused, not ignored
+        (lambda t: write_config(
+            t, {"section": {"kind": "mask", "path": str(RECTANGLE),
+                            "center": [0.3, 0.0]}}), "section.center"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "mask", "path": str(RECTANGLE), "n": 50}}),
+         "section.n"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "mask", "path": str(RECTANGLE), "side": 9.0}}),
+         "section.side"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8, "radius": 0.5}}),
+         "section.radius"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "disk", "n": 8, "side": 1.0}}), "section.side"),
+        (lambda t: write_config(
+            t, {"section": {"kind": "square", "n": 8, "path": str(RECTANGLE)}}),
+         "section.path"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": HELIX_POINTS, "s0": 99.0}}),
+         "curve.s0"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": HELIX_POINTS,
+                          "radius": 5.0}}), "curve.radius"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": 3.0, "radius": 1.5}}),
+         "curve.radius"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "circular_arc", "s0": 2.0, "radius": 1.5,
+                          "a": 1.0}}), "curve.a"),
+        (lambda t: write_config(
+            t, {"curve": {**HELIX["curve"], "radius": 1.5}}, base=HELIX),
+         "curve.radius"),
+        (lambda t: write_config(
+            t, {"curve": {**HELIX["curve"], "points": HELIX_POINTS}}, base=HELIX),
+         "curve.points"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "sampled", "points": HELIX_POINTS,
+                          "twist_rate": 3.0}}), "curve.twist_rate"),
+        (lambda t: write_config(
+            t, {"curve": {**HELIX["curve"], "twist_values": [0.0] * 20}},
+            base=HELIX), "curve.twist_values"),
+        (lambda t: write_config(
+            t, {"curve": {"kind": "straight", "s0": 3.0, "twist": "tabulated",
+                          "twist_values": [0.0] * 20, "twist_rate": 0.5}}),
+         "curve.twist_rate"),
     ],
     ids=["list", "directory", "missing", "invalid-json", "s0-string",
          "M_s-float", "helix-negative-a", "arc-zero-radius", "sampled-3-points",
@@ -721,7 +782,11 @@ def _mask_config(tmp_path, data=None):
          "M_s-huge-integer", "n-huge-integer", "mask-missing", "mask-directory", "mask-not-utf8", "mask-bad-header",
          "section-kind-unknown", "mask-row-count", "mask-below-25-nodes",
          "slope-window-empty", "prefix-subdir", "prefix-empty", "prefix-dotdot",
-         "prefix-dot", "prefix-backslash", "prefix-nul"],
+         "prefix-dot", "prefix-backslash", "prefix-nul", "mask-center", "mask-n",
+         "mask-side", "square-radius", "disk-side", "square-path", "sampled-s0",
+         "sampled-radius", "straight-radius", "arc-a", "helix-radius",
+         "helix-points", "untwisted-twist-rate", "linear-twist-values",
+         "tabulated-twist-rate"],
 )
 def test_main_exit_two_names_the_failing_config_path(tmp_path, capsys, make, field):
     # a config the parser refuses is one "config" failure naming the field,
@@ -998,6 +1063,32 @@ def test_main_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
     assert payload == {"failures": [
         {"kind": "internal", "type": "LinAlgError",
          "message": "eigh did not converge"}
+    ]}
+
+
+def test_main_exit_two_on_a_warning_raised_inside_compare(
+    tmp_path, capsys, monkeypatch
+):
+    # the comparison's skip reasons are return values, so a warning raised
+    # while comparing reaches the caller: under warnings-as-errors it is an
+    # internal failure, not recorded and dropped
+    compare = cli.oracle.compare
+
+    def warned(*args, **kwargs):
+        warnings.warn("divide by zero encountered", RuntimeWarning)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oracle, "compare", warned)
+    path = write_config(tmp_path, {"epsilon": 0.2}, base=HELIX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_main(
+            ["verify", "--config", str(path), "--out", str(tmp_path)], capsys
+        )
+    assert code == 2
+    assert payload == {"failures": [
+        {"kind": "internal", "type": "RuntimeWarning",
+         "message": "divide by zero encountered"}
     ]}
 
 

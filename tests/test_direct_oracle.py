@@ -39,11 +39,7 @@ from thinrod.direct_oracle import (
     to_field,
     to_vector,
 )
-from thinrod.errors import (
-    EpsilonOutOfRange,
-    SolverFail,
-    UnderresolvedWindow,
-)
+from thinrod.errors import EpsilonOutOfRange, SolverFail
 from thinrod.geometry import CurveSpec, build_frame
 
 
@@ -528,7 +524,7 @@ def test_solution_residuals_are_the_certificate_rho(kind, n):
     op = _helix_op(eps=0.2, n=n, M_s=20, kind=kind)
     sol = solve_direct(op, 3)
     for j, lam in enumerate(sol.lam):
-        rho, _ = residual_certificate(op, float(lam), sol.vectors[:, j])
+        rho, _, _ = residual_certificate(op, float(lam), sol.vectors[:, j])
         assert sol.residuals[j] == pytest.approx(rho, rel=1e-12, abs=0)
     assert sol.residuals.max() <= sol.target
     target = max(1e-8, 8 * np.finfo(float).eps * np.abs(op.H).sum(axis=1).max())
@@ -759,15 +755,18 @@ def test_solver_rejects_bad_sizes():
 def test_certificate_on_exact_eigenpair():
     op = _helix_op(eps=0.2, n=10, M_s=20)
     sol = solve_direct(op, 3)
-    rho, ok = residual_certificate(op, float(sol.lam[0]), sol.vectors[:, 0], sol)
+    rho, ok, note = residual_certificate(
+        op, float(sol.lam[0]), sol.vectors[:, 0], sol
+    )
     assert rho < 1e-8
     assert ok is True
+    assert note is None
     assert np.abs(sol.lam - sol.lam[0]).min() == 0.0 <= rho
     # a full-grid field, flattened, gives the same certificate; without a
     # solution there is nothing to check the bound against
     v = to_vector(op, to_field(op, sol.vectors[:, 0]))
-    assert residual_certificate(op, float(sol.lam[0]), v, sol) == (rho, ok)
-    assert residual_certificate(op, float(sol.lam[0]), v) == (rho, None)
+    assert residual_certificate(op, float(sol.lam[0]), v, sol) == (rho, ok, None)
+    assert residual_certificate(op, float(sol.lam[0]), v) == (rho, None, None)
 
 
 def test_certificate_distance_bound_holds_for_any_quasimode():
@@ -777,19 +776,23 @@ def test_certificate_distance_bound_holds_for_any_quasimode():
     sol = solve_direct(op, 6)
     v = sol.vectors[:, 0] + 0.3 * sol.vectors[:, 1] + 0.05 * sol.vectors[:, 2]
     for mu in (float(sol.lam[0]) + 0.5, float(sol.lam[1]) - 0.2):
-        rho, ok = residual_certificate(op, mu, v, sol)
+        rho, ok, note = residual_certificate(op, mu, v, sol)
         dist = np.abs(sol.lam - mu).min()
         assert dist <= rho
-        assert ok is True
+        assert ok is True and note is None
 
 
-def test_certificate_warns_outside_window():
+def test_certificate_notes_outside_window():
+    # a probe past the window edge is left unchecked, and the note says why
     op = _helix_op(eps=0.2, n=10, M_s=20)
     sol = solve_direct(op, 2)
     probe = float(sol.ritz_all[-1]) + 100.0
-    with pytest.warns(UnderresolvedWindow):
-        rho, ok = residual_certificate(op, probe, sol.vectors[:, 0], sol)
+    rho, ok, note = residual_certificate(op, probe, sol.vectors[:, 0], sol)
     assert ok is None and rho > 0
+    assert note == (
+        f"candidate {probe:.6g} + rho {rho:.3g} reaches past the computed "
+        f"window edge {sol.window_guard:.6g}; compute more eigenpairs to certify"
+    )
 
 
 def test_certificate_rejects_zero_candidate():
@@ -816,7 +819,8 @@ def test_compare_straight_rod_gaps_at_machine_level():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 4)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2, 3)]
-    rows = compare(sol, states)
+    rows, notes = compare(sol, states)
+    assert notes == []
     assert cli._row_failures(rows) == []
     assert [r.match_index for r in rows] == [0, 1, 2]
     for r in rows:
@@ -836,7 +840,8 @@ def test_compare_curved_twisted_rod_certifies():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 5)
     states = [engine.run_recurrence(fr, spec, 1, m, N=3) for m in (1, 2)]
-    rows = compare(sol, states)
+    rows, notes = compare(sol, states)
+    assert notes == []
     assert cli._row_failures(rows) == []
     for r in rows:
         assert r.bound_ok is True  # nearest-distance bound, zero tolerance
@@ -856,7 +861,8 @@ def test_compare_twisted_straight_rod_small_gap():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=6)
-    (row,) = compare(sol, [st])
+    (row,), notes = compare(sol, [st])
+    assert notes == []
     assert row.abs_gap < 1e-4
     assert row.bound_ok is True
 
@@ -876,7 +882,7 @@ def test_compare_resolves_angles_below_the_cosine_floor():
     for eps in (0.1, 0.05, 0.025):
         op = assemble(fr, spec.grid, eps)
         sol = solve_direct(op, 3)
-        (row,) = compare(sol, [st])
+        (row,), _ = compare(sol, [st])
         angles.append(row.sin_angle)
     assert 0.0 < angles[2] < angles[1] < angles[0], angles
     v = to_vector(op, engine.partial_sums(st, eps)[1])
@@ -892,7 +898,7 @@ def test_compare_flags_ambiguous_pairing():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=2)
-    rows = compare(sol, [st, st])
+    rows, _ = compare(sol, [st, st])
     assert any("pairing" in r.flags for r in rows)
     assert cli._row_failures(rows) != []
     assert all("pairing" in r.flags for r in rows)
@@ -907,7 +913,7 @@ def test_compare_flags_a_shared_match_once_per_row():
     op = assemble(fr, spec.grid, eps)
     sol = solve_direct(op, 3)
     st = engine.run_recurrence(fr, spec, 1, 1, N=2)
-    rows = compare(sol, [st, st, st])
+    rows, _ = compare(sol, [st, st, st])
     assert [r.match_index for r in rows] == [0, 0, 0]
     assert [r.flags for r in rows] == [["pairing"]] * 3
     assert [f["kind"] for f in cli._row_failures(rows)] == ["pairing"] * 3
